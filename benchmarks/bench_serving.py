@@ -4,13 +4,13 @@ The serving PR's systems claim, measured end to end: a 200-request
 mixed-modulus workload through :class:`repro.serving.ModExpService`
 (integer backend) does exactly one Montgomery pre-computation per
 distinct modulus per round — the batch scheduler's coalescing — and
-four process workers beat the sequential baseline on the same workload.
+four shard workers beat the sequential baseline on the same workload.
 
 The coalescing assertions are machine-independent and always run.  The
 >=2x parallel-throughput assertion needs real cores, and the core count
 that matters is the *available* one (:func:`os.sched_getaffinity` — CI
 containers routinely pin fewer cores than ``os.cpu_count`` reports).  On
-a single available core the 4-process comparison is skipped outright:
+a single available core the 4-shard comparison is skipped outright:
 four processes on one core cannot beat one, so a "0.94x speedup" row
 would only misread as a regression.  The results table says so
 explicitly instead of publishing the misleading number.
@@ -95,19 +95,19 @@ def test_parallel_throughput_and_coalescing(save_table, benchmark_metrics):
         ["sequential (1 worker)", round(seq_s, 3), round(REQUESTS / seq_s, 1)],
     ]
     if cores >= 2:
-        par_s = _run(4, "process", requests)
+        par_s = _run(4, "shard", requests)
         # Second round coalesces again but the constants cache already
         # holds every modulus: no new pre-computation work anywhere.
         assert coalesced.total() == 2 * MODULI
         assert precompute.total() == MODULI
         speedup = seq_s / par_s
         rows += [
-            ["4 process workers", round(par_s, 3), round(REQUESTS / par_s, 1)],
+            ["4 shard workers", round(par_s, 3), round(REQUESTS / par_s, 1)],
             ["speedup", "-", round(speedup, 2)],
         ]
         report["parallel"] = {
             "workers": 4,
-            "kind": "process",
+            "kind": "shard",
             "wall_s": round(par_s, 4),
             "rps": round(REQUESTS / par_s, 1),
             "speedup": round(speedup, 3),
@@ -115,7 +115,7 @@ def test_parallel_throughput_and_coalescing(save_table, benchmark_metrics):
     else:
         rows.append(
             [
-                "4 process workers",
+                "4 shard workers",
                 "skipped",
                 f"only {cores} core available",
             ]
@@ -143,7 +143,7 @@ def test_parallel_throughput_and_coalescing(save_table, benchmark_metrics):
         json.dump(report, fh, indent=2)
         fh.write("\n")
     if cores >= 4:
-        # Generous margin below the ideal 4x: pool + pickling overhead.
+        # Generous margin below the ideal 4x: frame + pipe overhead.
         assert speedup >= 2.0, f"expected >=2x with 4 workers, got {speedup:.2f}x"
     elif cores >= 2:
         # Oversubscribed: just require the parallel path to not be
@@ -154,7 +154,7 @@ def test_parallel_throughput_and_coalescing(save_table, benchmark_metrics):
 def test_accepted_counter_covers_every_request(benchmark_metrics):
     """The serving metrics account for every request exactly once."""
     requests = _workload()[:40]
-    with ModExpService(backend="integer", workers=2, worker_kind="thread") as service:
+    with ModExpService(backend="integer", workers=2, worker_kind="shard") as service:
         results = service.process(requests)
     assert all(r.ok for r in results)
     counters = benchmark_metrics.counter("serving.requests")

@@ -3,13 +3,14 @@
 
 Two phases against :class:`repro.serving.ModExpService`:
 
-1. **Chaos batch** — 200 requests through a process pool while the
-   seeded fault plan kills workers, injects backend exceptions and flips
-   result bits (5% each).  Online verification + retries + pool respawn
-   must deliver every result equal to ``pow(x, e, N)`` — the run fails
-   loudly otherwise, and any silently corrupted value is counted into
-   the ``serving.silent_corruptions`` metric (the CI gate asserts it
-   stays 0).
+1. **Chaos batch** — 200 requests through four shard workers while
+   the seeded fault plan kills workers, injects backend exceptions and
+   flips result bits (5% each).  Online verification + retries + shard
+   respawn must deliver every result equal to ``pow(x, e, N)`` — the run
+   fails loudly otherwise, and the silently corrupted values are counted
+   into the ``serving.silent_corruptions`` metric, zero included (the CI
+   gate asserts it stays 0, and the drill asserts the series exists so
+   that gate cannot pass on an absent metric).
 
 2. **Breaker storm** — a burst of deterministic failures
    (``target_prefix``) trips the integer backend's circuit breaker;
@@ -57,7 +58,7 @@ def chaos_batch() -> int:
     with ModExpService(
         backend="integer",
         workers=4,
-        worker_kind="process",
+        worker_kind="shard",
         chaos=ChaosConfig(
             seed=13,
             worker_kill_rate=0.05,
@@ -79,13 +80,12 @@ def chaos_batch() -> int:
             failed += 1
         elif result.value != pow(3 + i, 65537, N):
             silent += 1
-    if silent:
-        OBS.count("serving.silent_corruptions", silent)
+    OBS.count("serving.silent_corruptions", silent)
 
     print(
         f"phase 1 — chaos batch: {REQUESTS} requests in {wall:.2f}s, "
         f"{failed} failed, {silent} silent corruptions, "
-        f"{restarts} pool respawn(s)"
+        f"{restarts} shard respawn(s)"
     )
     if failed or silent:
         raise SystemExit(
@@ -184,6 +184,7 @@ def main() -> None:
         breaker_storm()
         black_box(dump_dir)
     registry.write_json(metrics_out)
+    assert "serving.silent_corruptions" in registry, "drill never counted corruptions"
     detected = registry.counter("serving.faults_detected").total()
     retries = registry.counter("serving.retries").total()
     restarts = registry.counter("serving.worker_restarts").total()

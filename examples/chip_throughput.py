@@ -86,7 +86,7 @@ def main(l: int = 32, chip_ops: int = 12) -> None:
     registry = MetricsRegistry()
     with observe(metrics=registry):
         with ModExpService(
-            backend="chip", workers=2, worker_kind="thread"
+            backend="chip", workers=2, worker_kind="shard"
         ) as service:
             served = service.process(workload.requests)
     for request, result in zip(workload.requests, served):

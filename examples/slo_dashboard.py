@@ -26,7 +26,7 @@ from repro.utils.rng import random_odd_modulus
 
 # backend, modulus bits, request count, workers, worker kind
 CONFIGS: List[Tuple[str, int, int, int, str]] = [
-    ("integer", 64, 40, 2, "process"),
+    ("integer", 64, 40, 2, "shard"),
     ("highradix", 64, 40, 1, "inline"),
     ("scalable", 64, 40, 1, "inline"),
     ("rtl", 12, 6, 1, "inline"),

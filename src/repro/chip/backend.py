@@ -104,7 +104,6 @@ class ChipBackend(ModExpBackend):
             max_bits=max_bits if engine == "rtl" else min(max_bits, 10),
             cycle_accurate=True,
             simulator=True,
-            process_safe=False,
             lanes=tiles * waves,
             mixed_exponent_lanes=True,
         )

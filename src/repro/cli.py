@@ -211,13 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
             default="integer",
             help="serving backend name (see `repro backends`; default: integer)",
         )
-        grp.add_argument("--workers", type=int, default=1, help="worker count")
+        grp.add_argument(
+            "--workers", type=int, default=1, help="shard worker count"
+        )
         grp.add_argument(
             "--worker-kind",
-            choices=("auto", "process", "thread", "inline", "shard"),
-            default="auto",
-            help="worker pool kind (auto: processes when the backend allows; "
-            "shard: modulus-homed warm workers over binary batch frames)",
+            choices=("inline", "shard"),
+            default=None,
+            help="serving plane (inline: batches on this thread; shard: "
+            "modulus-homed warm worker processes over binary batch frames; "
+            "default: shard when --workers > 1, else inline)",
         )
         grp.add_argument(
             "--max-batch",
@@ -229,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--queue-limit",
             type=int,
             default=None,
-            help="bounded in-flight window (default: 4 x workers)",
+            help="bounded in-flight window in requests "
+            "(default: 4 inline, 32 x workers on shards)",
         )
         grp.add_argument(
             "--timeout",
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--chaos-kill-rate",
             type=float,
             default=0.0,
-            help="per-request worker-kill probability (process pools only)",
+            help="per-request worker-kill probability (shard plane only)",
         )
         cha.add_argument("--chaos-exception-rate", type=float, default=0.0)
         cha.add_argument("--chaos-latency-rate", type=float, default=0.0)
@@ -1272,7 +1276,7 @@ def _cmd_backends(out) -> int:
 
     out.write(
         render_table(
-            ["backend", "max bits", "cycles", "simulator", "workers", "needs p,q", "description"],
+            ["backend", "max bits", "cycles", "simulator", "needs p,q", "description"],
             default_registry().capability_rows(),
             title="Registered serving backends",
         )
@@ -1451,9 +1455,11 @@ def _profile_serving_stage(args, rng) -> None:
                 request_id=f"profile-{i}",
             )
         )
+    # Inline: the profiler attributes the gate backend's hook sites from
+    # the ambient session, which only the caller's thread feeds.
     with ModExpService(
         backend="gate",
-        workers=2,
+        worker_kind="inline",
         verify=VerifyPolicy(mode="sampled", sample_rate=0.5),
     ) as service:
         service.process(requests)

@@ -10,10 +10,9 @@ Three pieces, designed to be used together but separable:
 * :data:`OBS` + :func:`observe` (:mod:`repro.observability.observer`) —
   the process-wide hook point the instrumented simulators report through,
   a no-op unless a session is installed;
-* :class:`TraceContext` / :class:`WorkerTelemetry`
-  (:mod:`repro.observability.context`) — request-scoped propagation of
-  the session across process boundaries, merged back via
-  :meth:`MetricsRegistry.merge` and :meth:`SpanTracer.adopt_span`;
+* :meth:`MetricsRegistry.merge` and :meth:`SpanTracer.adopt_span` —
+  fold a worker process's session (shipped home in the shard plane's
+  result frames) into the parent's registry and timeline;
 * :func:`diff_snapshots` (:mod:`repro.observability.baseline`) — the
   snapshot-vs-baseline regression gate behind ``repro obs diff``;
 * :class:`OccupancyRecorder` + the analytic ``2i+j`` model
@@ -32,12 +31,6 @@ from repro.observability.baseline import (
     check_requirements,
     diff_snapshots,
     load_snapshot,
-)
-from repro.observability.context import (
-    TraceContext,
-    WorkerTelemetry,
-    capture,
-    worker_label,
 )
 from repro.observability.metrics import (
     Counter,
@@ -101,10 +94,6 @@ __all__ = [
     "TRACE_DETAILS",
     "REQUEST_SPAN",
     "validate_chrome_trace",
-    "TraceContext",
-    "WorkerTelemetry",
-    "capture",
-    "worker_label",
     "DEFAULT_IGNORE",
     "check_requirements",
     "diff_snapshots",

@@ -382,7 +382,7 @@ class MetricsRegistry:
         The workhorse of cross-process telemetry: a worker process runs
         under its own registry, ships ``registry.snapshot()`` back with the
         result, and the parent merges it here with identifying labels
-        (``parent.merge(snapshot, worker="pid1234")``).  Counters add,
+        (``parent.merge(snapshot, worker="shard0")``).  Counters add,
         gauges last-write-win, histograms merge bucket-by-bucket; every
         merged row gains ``extra_labels`` on top of its own.
         """

@@ -2,7 +2,7 @@
 
 Recovery code that has never seen a failure is decorative.  This module
 makes failures a reproducible input: a :class:`ChaosConfig` (a frozen,
-picklable value object that travels to process workers) seeds a
+picklable value object that travels to shard workers) seeds a
 :class:`FaultPlan`, and the plan decides — purely from
 ``(seed, request_id, attempt)`` — whether a given execution attempt is
 killed, poisoned with an exception, delayed, or has a bit flipped in its
@@ -12,10 +12,10 @@ in the Perfetto trace.
 Fault kinds, drawn first-match-wins in this order:
 
 * ``kill`` — the worker process calls ``os._exit`` mid-request,
-  breaking the ProcessPoolExecutor; exercises respawn + requeue.
-  Only honoured when the caller passes ``allow_kill=True`` (process
-  pools); in thread/inline pools a kill would take the service down,
-  so the plan degrades it to an exception.
+  killing its shard; exercises respawn + requeue.  Only honoured when
+  the caller passes ``allow_kill=True`` (shard workers); on the inline
+  plane a kill would take the service down, so the plan degrades it to
+  an exception.
 * ``exception`` — raises :class:`~repro.errors.InjectedFault`;
   exercises retry, breaker accounting, failover.
 * ``latency`` — sleeps ``latency_s``; exercises timeouts, SLO
@@ -166,7 +166,7 @@ class ChaosConfig:
         """A :class:`~repro.observability.flightrec.FlightRecorderHub` for
         this config's dump directory, or ``None`` when recording is off.
 
-        Called executor-side (possibly in a process worker) right before a
+        Called executor-side (possibly in a shard worker) right before a
         run that should be captured; fault events fire the recorder, so no
         explicit trigger list is needed.
         """

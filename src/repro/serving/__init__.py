@@ -14,10 +14,10 @@ single-shot engines into a multi-worker modular-exponentiation service.
 * :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
   Montgomery pre-computation per batch) and deadline/cost dispatch
   ordering.
-* :mod:`repro.serving.pool` — the bounded worker pool (process workers
-  for big-int backends, thread workers for the simulators) with explicit
-  ``QueueFull`` backpressure, and the shared :class:`SlotWindow`
-  in-flight accounting.
+* :mod:`repro.serving.pool` — :func:`execute_batch`, the one batch
+  executor both planes run, the inline plane (:class:`InlinePool`,
+  batches on the caller's thread) and the shared :class:`SlotWindow`
+  in-flight accounting with explicit ``QueueFull`` backpressure.
 * :mod:`repro.serving.shard` — the sharded data plane: consistent-hash
   placement of ``(modulus, l)`` onto pre-forked warm workers, coalesced
   batches crossing per-shard pipes as single binary frames, shard death
@@ -71,7 +71,7 @@ from repro.serving.overload import (
     OverloadConfig,
     TokenBucket,
 )
-from repro.serving.pool import SlotWindow, WorkerPool
+from repro.serving.pool import InlinePool, SlotWindow, execute_batch
 from repro.serving.request import ModExpRequest, ModExpResult
 from repro.serving.scheduler import Batch, BatchScheduler, coalesce, lane_groups
 from repro.serving.service import ModExpService
@@ -98,7 +98,8 @@ __all__ = [
     "ModExpBackend",
     "default_registry",
     "SlotWindow",
-    "WorkerPool",
+    "InlinePool",
+    "execute_batch",
     "ShardMap",
     "ShardPool",
     "placement_key",

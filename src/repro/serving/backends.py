@@ -65,11 +65,6 @@ class BackendCapabilities:
         to measured (the golden accounting); False when modelled.
     simulator:
         True for backends that step a hardware model cycle by cycle.
-    process_safe:
-        True when the backend may run on process workers (resolvable by
-        name in a fresh interpreter, CPU-bound big-int work).  Simulators
-        stay on thread workers so their observability hooks keep feeding
-        the parent's metrics registry.
     requires_factors:
         True when requests must carry ``factors=(p, q)``.
     lanes:
@@ -90,7 +85,6 @@ class BackendCapabilities:
     max_bits: Optional[int] = None
     cycle_accurate: bool = True
     simulator: bool = False
-    process_safe: bool = True
     requires_factors: bool = False
     lanes: int = 1
     mixed_exponent_lanes: bool = False
@@ -211,7 +205,7 @@ class IntegerBackend(ModExpBackend):
 
     The production fast path: big-int multiplications at any width, with
     cycle counts the test suite proves identical to the measured RTL
-    model.  Process-safe and the default backend of ``repro serve``.
+    model.  The default backend of ``repro serve``.
     """
 
     name = "integer"
@@ -220,7 +214,6 @@ class IntegerBackend(ModExpBackend):
         max_bits=None,
         cycle_accurate=True,
         simulator=False,
-        process_safe=True,
     )
 
     def execute(self, ctx, request):
@@ -247,7 +240,6 @@ class CRTBackend(ModExpBackend):
         max_bits=None,
         cycle_accurate=True,
         simulator=False,
-        process_safe=True,
         requires_factors=True,
     )
 
@@ -293,8 +285,8 @@ class _NetlistBackend(ModExpBackend):
     instance for the bit-sliced :meth:`execute_many` path.  Both run the
     compiled kernel engine and share one codegen'd kernel through the
     structural-key cache (lane count is bound per simulator, not per
-    kernel).  The simulators are stateful, so a lock keeps thread workers
-    from interleaving multiplications on one instance.
+    kernel).  The simulators are stateful, so a lock keeps concurrent
+    callers from interleaving multiplications on one instance.
     """
 
     #: netlist simulator engine for the cached instances
@@ -441,7 +433,6 @@ class RTLBackend(_NetlistBackend):
         max_bits=64,
         cycle_accurate=True,
         simulator=True,
-        process_safe=False,
         lanes=64,
     )
     wall_weight = 200.0
@@ -497,7 +488,6 @@ class GateLevelBackend(_NetlistBackend):
         max_bits=10,
         cycle_accurate=True,
         simulator=True,
-        process_safe=False,
         lanes=64,
     )
     # Compiled kernels brought the per-cycle wall cost down ~7x from the
@@ -550,7 +540,6 @@ class HighRadixBackend(ModExpBackend):
         max_bits=None,
         cycle_accurate=False,
         simulator=False,
-        process_safe=True,
     )
 
     def __init__(self, word_bits: int = 16) -> None:
@@ -597,7 +586,6 @@ class ScalableBackend(ModExpBackend):
         max_bits=None,
         cycle_accurate=False,
         simulator=False,
-        process_safe=True,
     )
 
     def __init__(self, word: int = 8, stages: int = 4) -> None:
@@ -679,7 +667,6 @@ class BackendRegistry:
                     "∞" if caps.max_bits is None else caps.max_bits,
                     "measured" if caps.cycle_accurate else "modelled",
                     "yes" if caps.simulator else "no",
-                    "process" if caps.process_safe else "thread",
                     "yes" if caps.requires_factors else "no",
                     caps.description,
                 ]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import ParameterError
-from repro.observability.context import TraceContext
 from repro.utils.validation import ensure_odd
 
 __all__ = ["PRIORITIES", "ModExpRequest", "ModExpResult"]
@@ -76,11 +75,6 @@ class ModExpRequest:
         shard workers).  Checked at admission, dequeue, and pre-execute;
         caps retry backoff.  Distinct from :attr:`deadline`, which is a
         relative urgency sort key, not a drop-dead time.
-    trace:
-        Optional :class:`~repro.observability.context.TraceContext`
-        attached by the service before dispatch; it travels with the
-        request into the worker so telemetry recorded there can be
-        shipped back and merged under the request's span.
     """
 
     base: int
@@ -94,7 +88,6 @@ class ModExpRequest:
     priority: str = "batch"
     budget_s: Optional[float] = None
     expires_at: Optional[float] = None
-    trace: Optional[TraceContext] = None
 
     def __post_init__(self) -> None:
         if self.priority not in PRIORITIES:

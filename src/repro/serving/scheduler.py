@@ -64,9 +64,8 @@ def lane_groups(
     batch regardless of exponent.  Order within a group follows batch
     order.
 
-    Shared by the service's dispatcher (grouping in-flight ``_Entry``
-    objects via ``exponent_of``) and the shard worker loop (grouping
-    decoded :class:`ModExpRequest` objects directly).
+    :func:`repro.serving.pool.execute_batch` groups request positions
+    via ``exponent_of``, so its rows stay in request order.
     """
     by_exponent: Dict[Any, List[T]] = {}
     for item in items:

@@ -1,4 +1,4 @@
-"""The modexp serving engine: registry + scheduler + worker pool.
+"""The modexp serving engine: registry + scheduler + one of two planes.
 
 :class:`ModExpService` is the facade every entry point uses — the
 ``repro serve`` JSON-lines loop, ``repro batch`` file runs, the example
@@ -8,8 +8,8 @@ scripts and the benchmarks.  Lifecycle of one request:
    requests into immediate failure results;
 2. **coalesce** — the batch scheduler groups requests by modulus so the
    Montgomery constants are pre-computed once per batch;
-3. **dispatch** — each request becomes one bounded-pool task carrying
-   the batch's shared context; saturation either blocks the submitter
+3. **dispatch** — each batch becomes one ``submit_batch`` call on the
+   plane's pool; saturation either blocks the submitter
    (``on_full="wait"``, batch mode) or rejects with ``QueueFull``
    (``on_full="reject"``, the serving loop);
 4. **collect** — futures are harvested in dispatch order with the
@@ -17,37 +17,38 @@ scripts and the benchmarks.  Lifecycle of one request:
    failure, rejection) becomes a :class:`ModExpResult` and the results
    come back in input order.
 
-Instrumentation goes through the PR-1 observability layer: wrap calls in
+Two planes execute batches, both through
+:func:`repro.serving.pool.execute_batch`: the **inline** plane
+(:class:`~repro.serving.pool.InlinePool`) runs it on the caller's
+thread; the **shard** plane (:class:`~repro.serving.shard.ShardPool`)
+ships it to a warm, modulus-homed worker process.
+
+Instrumentation goes through the observability layer: wrap calls in
 :func:`repro.observability.observe` and the registry fills with
 ``serving.requests{status=,backend=}`` counters, per-backend/per-worker
 ``serving.request_cycles`` / ``serving.request_wall_us`` histograms,
 ``serving.batch_size`` histograms and the ``serving.queue_depth`` gauge.
-
-Telemetry survives the process boundary: each dispatched request carries
-a :class:`~repro.observability.context.TraceContext`, process workers
-open a fresh local observation session (:func:`capture`) and ship its
-snapshot back with the result, and the parent merges it into its own
-registry (``worker=`` labels) and re-parents the worker's spans under a
-``serving.request`` span per request.  Thread and inline workers share
-the parent's ``OBS`` singleton, so their hook sites already feed the
-registry in-process and only the worker label is added.
+Shard workers ship their per-batch metrics home in the result frame
+(merged with ``worker=shardN`` labels) and, when a tracer is installed,
+one span session per request, which the collector adopts under a
+``serving.request`` span on the shard's track.
 
 Completed requests that report cycles are additionally checked against
 the :class:`~repro.serving.slo.SLOPolicy` cycle budget (the paper's
 Eq. (10) envelope), filling ``serving.slo_checks`` /
 ``serving.slo_violations``.
 
-**Self-healing** (PR 5) threads the :mod:`repro.robustness` layer
-through the same lifecycle: completed values pass through the
+**Self-healing** threads the :mod:`repro.robustness` layer through the
+same lifecycle: completed values pass through the
 :class:`~repro.robustness.verify.ResultVerifier` (corruption becomes a
 :class:`~repro.errors.FaultDetected` failure and increments
 ``serving.faults_detected``); failures are retried with backoff under a
 :class:`~repro.robustness.retry.RetryPolicy` and service-wide budget;
 per-backend :class:`~repro.robustness.breaker.CircuitBreaker`\\ s trip on
 consecutive failures or SLO violations and (with ``failover=True``)
-route retries to the next-cheapest capable backend; a broken process
-pool is respawned and its in-flight requests requeued exactly once; and
-a seeded :class:`~repro.robustness.chaos.ChaosConfig` injects worker
+route retries to the next-cheapest capable backend; a dead shard worker
+is respawned and its in-flight batches requeued exactly once; and a
+seeded :class:`~repro.robustness.chaos.ChaosConfig` injects worker
 kills, exceptions, latency and register/result bit flips so every one of
 those paths is exercised deterministically in tests and drills.
 """
@@ -57,11 +58,11 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future
+from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures import wait as futures_wait
 from dataclasses import replace
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
 
 from repro.errors import (
     DeadlineExceeded,
@@ -72,18 +73,10 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.montgomery.params import MontgomeryContext
-from repro.observability import (
-    OBS,
-    REQUEST_SPAN,
-    TraceContext,
-    WorkerTelemetry,
-    capture,
-    flightrec_armed,
-    worker_label,
-)
+from repro.observability import OBS, REQUEST_SPAN
 from repro.observability.flightrec import find_bundles
 from repro.robustness.breaker import BreakerBoard, BreakerConfig
-from repro.robustness.chaos import ChaosConfig, FaultPlan
+from repro.robustness.chaos import ChaosConfig
 from repro.robustness.retry import RetryBudget, RetryPolicy
 from repro.robustness.verify import ResultVerifier, VerifyPolicy
 from repro.serving.backends import (
@@ -99,162 +92,14 @@ from repro.serving.overload import (
     OverloadConfig,
     TokenBucket,
 )
-from repro.serving.pool import WorkerPool
+from repro.serving.pool import InlinePool, execute_with_chaos, worker_label
 from repro.serving.request import ModExpRequest, ModExpResult
-from repro.serving.scheduler import Batch, coalesce, lane_groups
+from repro.serving.scheduler import Batch, coalesce
+from repro.serving.shard import ShardPool
 from repro.serving.slo import SLOPolicy
 from repro.serving.wire import parse_request_line, result_to_json
 
 __all__ = ["ModExpService"]
-
-
-_WORKER_REGISTRY: Optional[BackendRegistry] = None
-
-
-def _worker_registry() -> BackendRegistry:
-    """Per-process registry for tasks that arrive as backend *names*."""
-    global _WORKER_REGISTRY
-    if _WORKER_REGISTRY is None:
-        _WORKER_REGISTRY = default_registry()
-    return _WORKER_REGISTRY
-
-
-def _execute_with_chaos(
-    backend: ModExpBackend,
-    ctx: MontgomeryContext,
-    request: ModExpRequest,
-    chaos: Optional[ChaosConfig],
-    attempt: int,
-    allow_kill: bool,
-    arm_flightrec: bool = False,
-):
-    """Run one backend execution under the (possibly inactive) fault plan.
-
-    Kill / exception / latency faults fire before the backend runs; a
-    ``bitflip`` decision lands either as a real register upset inside the
-    netlist simulator (backends exposing ``execute_with_register_fault``)
-    or as a post-hoc XOR into the result — silent either way, by design:
-    only the verification layer can catch it.
-
-    When the config carries a ``flightrec_dir``, executions that inject a
-    register flip — and any execution with ``arm_flightrec=True`` (retries
-    of verify failures, where the corruption source is unknown) — run with
-    an armed flight-recorder hub: the SEU fires the black box and the
-    post-mortem bundle (VCD + request context) lands in the dump
-    directory, tagged with this request id so the parent can find it.
-    """
-    if chaos is None or not chaos.active:
-        return backend.execute(ctx, request)
-    plan = FaultPlan(chaos)
-    decision = plan.decide(request.request_id, attempt, allow_kill=allow_kill)
-    plan.apply_pre(decision, request.request_id)  # may raise / exit / sleep
-    is_reg_flip = (
-        decision.kind == "bitflip"
-        and chaos.register_faults
-        and hasattr(backend, "execute_with_register_fault")
-    )
-    hub = None
-    if is_reg_flip or arm_flightrec:
-        hub = chaos.make_flightrec_hub()
-        if hub is not None:
-            hub.set_context(
-                request_id=request.request_id,
-                backend=getattr(backend, "name", type(backend).__name__),
-                seed=chaos.seed,
-                attempt=attempt,
-            )
-    if is_reg_flip:
-        rng = random.Random(
-            f"chaos-reg|{chaos.seed}|{request.request_id}|{attempt}"
-        )
-        if OBS.enabled:
-            OBS.count("chaos.injected", kind="register-flip")
-        with flightrec_armed(hub):
-            return backend.execute_with_register_fault(ctx, request, rng)
-    with flightrec_armed(hub):
-        result = backend.execute(ctx, request)
-    if decision.kind == "bitflip":
-        corrupted = plan.corrupt_result(
-            decision, result.value, request.modulus
-        )
-        result = type(result)(corrupted, result.cycles)
-    return result
-
-
-def _run_request(
-    backend_spec: Any,
-    ctx: MontgomeryContext,
-    request: ModExpRequest,
-    chaos: Optional[ChaosConfig] = None,
-    attempt: int = 0,
-    allow_kill: bool = False,
-    arm_flightrec: bool = False,
-) -> Tuple[int, Optional[int], float, str, Optional[WorkerTelemetry]]:
-    """Pool task: execute one request, measuring wall time in the worker.
-
-    ``backend_spec`` is the backend object for thread/inline pools and
-    the backend *name* for process pools (objects with simulator state
-    should not be pickled; names re-resolve in the worker interpreter).
-    ``chaos``/``attempt``/``allow_kill`` drive the fault plan — the
-    config is a frozen picklable value, so process workers replay the
-    same deterministic decisions as inline retries.
-
-    Returns ``(value, cycles, wall_us, worker, telemetry)``.  When the
-    request's :class:`TraceContext` asks for capture (process workers —
-    their ``OBS`` singleton is a separate interpreter's), the execution
-    runs under a fresh local observation session and its snapshot comes
-    back as the :class:`WorkerTelemetry`; otherwise telemetry is ``None``
-    and the hook sites fed the parent's registry directly.
-    """
-    backend = (
-        _worker_registry().get(backend_spec)
-        if isinstance(backend_spec, str)
-        else backend_spec
-    )
-    trace = request.trace
-    if trace is not None and trace.wants_capture:
-        with capture(trace) as telemetry:
-            t0 = time.perf_counter()
-            result = _execute_with_chaos(
-                backend, ctx, request, chaos, attempt, allow_kill, arm_flightrec
-            )
-            wall_us = (time.perf_counter() - t0) * 1e6
-        return result.value, result.cycles, wall_us, telemetry.worker, telemetry
-    t0 = time.perf_counter()
-    result = _execute_with_chaos(
-        backend, ctx, request, chaos, attempt, allow_kill, arm_flightrec
-    )
-    wall_us = (time.perf_counter() - t0) * 1e6
-    return result.value, result.cycles, wall_us, worker_label(), None
-
-
-def _run_request_group(
-    backend_spec: Any, ctx: MontgomeryContext, requests: List[ModExpRequest]
-) -> Tuple[List[int], List[Optional[int]], float, str, None]:
-    """Pool task: one same-modulus, same-exponent lane group in one sweep.
-
-    Lane groups form only for thread/inline pools (lane-capable backends
-    are simulators, which are not process-safe), so the backend's hook
-    sites feed the parent's ``OBS`` registry directly and no capture
-    session is needed.  Returns ``(values, cycles_per_request,
-    wall_us_for_the_group, worker, None)``; the collector divides the
-    group wall time across its requests.
-    """
-    backend = (
-        _worker_registry().get(backend_spec)
-        if isinstance(backend_spec, str)
-        else backend_spec
-    )
-    t0 = time.perf_counter()
-    results = backend.execute_many(ctx, list(requests))
-    wall_us = (time.perf_counter() - t0) * 1e6
-    return (
-        [r.value for r in results],
-        [r.cycles for r in results],
-        wall_us,
-        worker_label(),
-        None,
-    )
 
 
 class _Entry:
@@ -268,10 +113,7 @@ class _Entry:
         "result",
         "submitted_at",
         "admitted_at",
-        "group_pos",
-        "group_size",
         "context",
-        "requeued",
     )
 
     def __init__(self, request: ModExpRequest, input_index: int) -> None:
@@ -282,10 +124,7 @@ class _Entry:
         self.result: Optional[ModExpResult] = None
         self.submitted_at: float = 0.0
         self.admitted_at: float = 0.0  # sojourn clock for the CoDel shedder
-        self.group_pos: Optional[int] = None  # position in a lane group
-        self.group_size: int = 1
         self.context: Optional[MontgomeryContext] = None  # batch's shared ctx
-        self.requeued: bool = False  # already requeued after a broken pool
 
 
 class ModExpService:
@@ -298,16 +137,19 @@ class ModExpService:
     registry:
         Backend registry; defaults to :func:`default_registry`.
     workers:
-        Worker count.
+        Shard worker count on the shard plane.
     worker_kind:
-        ``"process"`` / ``"thread"`` / ``"inline"`` / ``"shard"`` /
-        ``"auto"``.  Auto picks processes for process-safe backends with
-        ``workers > 1``, threads otherwise.  ``"shard"`` selects the
-        sharded data plane (:mod:`repro.serving.shard`): ``workers``
-        pre-forked warm processes, batches consistent-hashed by
-        ``(modulus, l)`` and shipped as single binary frames.
+        The plane: ``"inline"`` runs every batch on the caller's thread
+        with this service's backend instance — request timeouts cannot
+        interrupt an inline execution; ``"shard"`` runs ``workers``
+        pre-forked warm processes (:mod:`repro.serving.shard`), batches
+        consistent-hashed by ``(modulus, l)`` and shipped as single
+        binary frames, the backend resolved by name from the default
+        registry.  ``None`` (the default) picks ``"shard"`` when
+        ``workers > 1``, else ``"inline"``.
     queue_limit:
-        Bounded in-flight window of the pool (default ``4 × workers``).
+        Bounded in-flight window in requests (default 4 inline,
+        ``32 × workers`` on shards).
     max_batch:
         Coalescing chunk size and the serve loop's flush threshold.
     default_timeout:
@@ -325,8 +167,9 @@ class ModExpService:
     chaos:
         :class:`~repro.robustness.chaos.ChaosConfig` fault-injection
         plan (``None`` = no injection).  Worker kills are only honoured
-        on process pools; lane packing is disabled while chaos is active
-        so every request gets its own fault decision.
+        on the shard plane (inline they degrade to exceptions); lane
+        packing is disabled while chaos is active so every request gets
+        its own fault decision.
     retry:
         :class:`~repro.robustness.retry.RetryPolicy` (``None`` = fail
         on first error).  Retries run inline on the collector thread —
@@ -372,7 +215,7 @@ class ModExpService:
         backend: Any = "integer",
         registry: Optional[BackendRegistry] = None,
         workers: int = 1,
-        worker_kind: str = "auto",
+        worker_kind: Optional[str] = None,
         queue_limit: Optional[int] = None,
         max_batch: int = 32,
         default_timeout: Optional[float] = None,
@@ -390,28 +233,19 @@ class ModExpService:
         self.backend: ModExpBackend = (
             self.registry.get(backend) if isinstance(backend, str) else backend
         )
-        caps = self.backend.capabilities
-        if worker_kind in ("auto", None):
-            worker_kind = (
-                "process" if (caps.process_safe and workers > 1) else "thread"
+        if worker_kind is None:
+            worker_kind = "shard" if workers > 1 else "inline"
+        if worker_kind not in ("inline", "shard"):
+            raise ParameterError(
+                f"unknown worker kind {worker_kind!r}; one of ('inline', 'shard')"
             )
-        if worker_kind == "process":
-            if not caps.process_safe:
-                raise ParameterError(
-                    f"backend {self.backend.name!r} is not process-safe; "
-                    f"use worker_kind='thread'"
-                )
-            if self.backend.name not in default_registry():
-                raise ParameterError(
-                    "process workers resolve backends by name from the default "
-                    f"registry, which has no {self.backend.name!r}; "
-                    "use worker_kind='thread' for custom backends"
-                )
+        if workers < 1:
+            raise ParameterError(f"workers must be >= 1, got {workers}")
         if worker_kind == "shard" and self.backend.name not in default_registry():
             raise ParameterError(
                 "shard workers resolve backends by name from the default "
                 f"registry, which has no {self.backend.name!r}; "
-                "use worker_kind='thread' for custom backends"
+                "use worker_kind='inline' for custom backends"
             )
         if max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
@@ -420,10 +254,9 @@ class ModExpService:
         # The chaos plan must exist before the pool: shard workers take
         # it at fork time.
         self.chaos = chaos if (chaos is not None and chaos.active) else None
+        self.pool: Any
         if worker_kind == "shard":
-            from repro.serving.shard import ShardPool
-
-            self.pool: Any = ShardPool(
+            self.pool = ShardPool(
                 shards=workers,
                 backend=self.backend.name,
                 queue_limit=queue_limit,
@@ -431,8 +264,11 @@ class ModExpService:
                 health=health,
             )
         else:
-            self.pool = WorkerPool(
-                workers=workers, kind=worker_kind, queue_limit=queue_limit
+            self.pool = InlinePool(
+                self.backend,
+                registry=self.registry,
+                queue_limit=queue_limit,
+                chaos=self.chaos,
             )
         self.slo = slo
         self.verify_policy = verify if (verify is not None and verify.enabled) else None
@@ -471,48 +307,7 @@ class ModExpService:
                     min_delay_s=overload.hedge_min_delay_s,
                 )
         self._batch_counter = 0
-        self._trace_seq = 0
-
-    # ------------------------------------------------------------------
-    # Telemetry plumbing
-    # ------------------------------------------------------------------
-    def _trace_context(self, request: ModExpRequest) -> TraceContext:
-        """Build the telemetry envelope one request travels with.
-
-        Capture flags only go up for process pools: a worker there is a
-        separate interpreter whose ``OBS`` hook sites would otherwise
-        record into a registry that dies with the task.  Thread/inline
-        workers share this process's session, so re-capturing would
-        double-count.
-        """
-        self._trace_seq += 1
-        request_id = request.request_id or f"req{self._trace_seq}"
-        want = self.pool.kind == "process" and OBS.enabled
-        tracer = OBS.tracer
-        return TraceContext(
-            request_id=request_id,
-            deadline=request.deadline,
-            collect_metrics=want and OBS.metrics is not None,
-            collect_spans=want and tracer is not None,
-            detail=tracer.detail if tracer is not None else "op",
-        )
-
-    def _merge_telemetry(self, entry: _Entry, telemetry: WorkerTelemetry) -> None:
-        """Fold one worker session into the parent registry/timeline."""
-        trace = entry.request.trace
-        request_id = trace.request_id if trace is not None else entry.request.request_id
-        parent_span = trace.parent_span if trace is not None else REQUEST_SPAN
-        if telemetry.metrics is not None and OBS.metrics is not None:
-            OBS.metrics.merge(telemetry.metrics, worker=telemetry.worker)
-        if telemetry.events and OBS.tracer is not None:
-            OBS.tracer.adopt_span(
-                parent_span,
-                telemetry.events,
-                telemetry.cycles,
-                worker=telemetry.worker,
-                request_id=request_id,
-                backend=self.backend.name,
-            )
+        self._id_seq = 0
 
     def _check_slo(
         self, request: ModExpRequest, cycles: int, worker: str, backend_name: str
@@ -553,6 +348,11 @@ class ModExpService:
         the brownout gate — under overload it is batch that gives way.
         """
         if self.overload is None:
+            # Deadlines belong to the overload ladder: without it they are
+            # ignored, and dropping them here keeps shard workers from
+            # checking them either.
+            if request.expires_at is not None:
+                request = replace(request, expires_at=None)
             return request, None
         if request.expires_at is None:
             budget = request.budget_s
@@ -654,154 +454,16 @@ class ModExpService:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _backend_spec(self) -> Any:
-        return self.backend.name if self.pool.kind == "process" else self.backend
-
-    @staticmethod
-    def _lane_groups(
-        entries: List[_Entry], lanes: int, *, mixed: bool = False
-    ) -> List[List[_Entry]]:
-        """Lane-packable groups of in-flight entries.
-
-        Delegates to :func:`repro.serving.scheduler.lane_groups`, the
-        grouping rule shared with the shard worker loop.
-        """
-        return lane_groups(
-            entries, lanes, mixed=mixed, exponent_of=lambda e: e.request.exponent
-        )
-
-    def _submit_group(
-        self, spec: Any, batch: Batch, group: List[_Entry], *, on_full: str
-    ) -> None:
-        """Submit one pool task for ``group`` (one request, or a lane pack)."""
-        while True:
-            try:
-                now = time.monotonic()
-                if len(group) == 1:
-                    entry = group[0]
-                    entry.submitted_at = now
-                    entry.future = self.pool.submit(
-                        _run_request,
-                        spec,
-                        batch.context,
-                        entry.request,
-                        self.chaos,
-                        0,
-                        self.pool.kind == "process",
-                    )
-                else:
-                    future = self.pool.submit(
-                        _run_request_group,
-                        spec,
-                        batch.context,
-                        [e.request for e in group],
-                    )
-                    for pos, entry in enumerate(group):
-                        entry.submitted_at = now
-                        entry.future = future
-                        entry.group_pos = pos
-                        entry.group_size = len(group)
-                if OBS.enabled:
-                    OBS.count(
-                        "serving.requests",
-                        len(group),
-                        status="accepted",
-                        backend=self.backend.name,
-                    )
-                return
-            except QueueFull as exc:
-                if on_full == "reject":
-                    for entry in group:
-                        entry.result = ModExpResult.failure(
-                            entry.request.request_id,
-                            exc,
-                            backend=self.backend.name,
-                            batch_index=batch.index,
-                        )
-                    if OBS.enabled:
-                        OBS.count(
-                            "serving.requests",
-                            len(group),
-                            status="rejected",
-                            backend=self.backend.name,
-                        )
-                    return
-                self.pool.wait_for_capacity(timeout=0.5)
-
     def _dispatch(
         self, batches: List[Batch], entries_by_id: Dict[int, Deque[_Entry]], *, on_full: str
     ) -> List[_Entry]:
-        """Submit every batch request; returns entries in dispatch order.
+        """Submit each coalesced batch as one pool call; entries in dispatch order.
 
-        Backends declaring ``capabilities.lanes > 1`` get same-exponent
-        requests of a batch submitted as *one* task running the backend's
-        bit-sliced :meth:`execute_many`; everything else dispatches one
-        task per request, exactly as before.  Lane grouping is skipped on
-        process pools (no lane-capable backend is process-safe, but a
-        custom registry could claim otherwise).
-
-        Shard pools take a different path entirely: each batch ships to
-        its home shard as one binary frame (lane grouping then happens
-        inside the warm worker).
-        """
-        if self.pool.kind == "shard":
-            return self._dispatch_shard(batches, entries_by_id, on_full=on_full)
-        spec = self._backend_spec()
-        lanes = self.backend.capabilities.lanes
-        # Lane packing is suspended under chaos: each request must get its
-        # own per-request fault decision, which a shared lock-step sweep
-        # cannot honour.
-        lane_packing = (
-            lanes > 1 and self.pool.kind != "process" and self.chaos is None
-        )
-        dispatched: List[_Entry] = []
-        for batch in batches:
-            entries = [entries_by_id[id(r)].popleft() for r in batch.requests]
-            for entry in entries:
-                entry.batch_index = batch.index
-                entry.context = batch.context
-            dispatched.extend(entries)
-            live = self._shed_at_dispatch(entries)
-            if not live:
-                continue
-            groups = (
-                self._lane_groups(
-                    live,
-                    lanes,
-                    mixed=self.backend.capabilities.mixed_exponent_lanes,
-                )
-                if lane_packing
-                else [[entry] for entry in live]
-            )
-            for group in groups:
-                if OBS.enabled:
-                    OBS.count(
-                        "serving.lane_groups",
-                        packed="yes" if len(group) > 1 else "no",
-                    )
-                    OBS.record(
-                        "serving.lane_group_size",
-                        len(group),
-                        backend=self.backend.name,
-                    )
-                self._submit_group(spec, batch, group, on_full=on_full)
-        return dispatched
-
-    def _dispatch_shard(
-        self,
-        batches: List[Batch],
-        entries_by_id: Dict[int, Deque[_Entry]],
-        *,
-        on_full: str,
-    ) -> List[_Entry]:
-        """Ship each coalesced batch to its home shard as one frame.
-
-        One :meth:`~repro.serving.shard.ShardPool.submit_batch` call per
-        batch returns one future per request; the collector harvests
-        them exactly like single-task futures (``group_pos`` stays
-        ``None`` — the payload is already per-request).  Backpressure is
-        batch-granular: a batch that does not fit the window is rejected
-        or waited out whole.
+        One ``submit_batch`` per batch returns one future per request —
+        already resolved on the inline plane, in flight to the home
+        shard on the shard plane.  Backpressure is batch-granular: a
+        batch that does not fit the window is rejected or waited out
+        whole.
         """
         cheap = self._brownout is not None and self._brownout.reroute_cheap
         dispatched: List[_Entry] = []
@@ -818,7 +480,9 @@ class ModExpService:
                 try:
                     now = time.monotonic()
                     futures = self.pool.submit_batch(
-                        [e.request for e in live], cheap_mode=cheap
+                        [e.request for e in live],
+                        context=batch.context,
+                        cheap_mode=cheap,
                     )
                     for entry, future in zip(live, futures):
                         entry.submitted_at = now
@@ -863,10 +527,10 @@ class ModExpService:
 
         Returns ``("ok", payload_tuple)``, ``("timeout", exc)`` or
         ``("error", exc)``.  On timeout the future's pool slot is
-        *abandoned*, not merely cancelled: a task already executing
+        *abandoned*, not merely cancelled: a request already executing
         cannot be cancelled and would otherwise pin its in-flight slot
-        until (if ever) it finishes — enough stuck tasks would saturate
-        the bounded window permanently.
+        until (if ever) it finishes — enough stuck requests would
+        saturate the bounded window permanently.
         """
         request, future = entry.request, entry.future
         assert future is not None
@@ -881,36 +545,23 @@ class ModExpService:
             budget = max(0.0, budget)
             remaining = budget if remaining is None else min(remaining, budget)
         try:
-            if (
-                self._hedge is not None
-                and self.pool.kind == "shard"
-                and entry.group_pos is None
-            ):
+            if self._hedge is not None and self.pool.kind == "shard":
                 payload = self._hedged_result(entry, remaining)
             else:
                 payload = future.result(timeout=remaining)
             if self._hedge is not None:
                 self._hedge.observe(time.monotonic() - entry.submitted_at)
-            if entry.group_pos is None:
-                value, cycles, wall_us, worker, telemetry = payload
-            else:
-                # Lane-group task: unpack this request's slice; wall time
-                # is amortized evenly over the group it shared a sweep with.
-                values, cycles_list, group_wall_us, worker, telemetry = payload
-                value = values[entry.group_pos]
-                cycles = cycles_list[entry.group_pos]
-                wall_us = group_wall_us / entry.group_size
             if OBS.enabled:
                 # Time from submission to harvest minus the execution wall
-                # time = time the task sat in the pool's queue (plus any
-                # harvest skew, hence the clamp).
-                wait_us = (time.monotonic() - entry.submitted_at) * 1e6 - wall_us
+                # time = time the request sat in the pool's queue (plus
+                # any harvest skew, hence the clamp).
+                wait_us = (time.monotonic() - entry.submitted_at) * 1e6 - payload[2]
                 OBS.record(
                     "serving.queue_wait_us",
                     wait_us if wait_us > 0 else 0.0,
                     backend=self.backend.name,
                 )
-            return "ok", (value, cycles, wall_us, worker, telemetry)
+            return "ok", payload
         except FuturesTimeout:
             self.pool.abandon(future)
             if request.expired():
@@ -982,12 +633,7 @@ class ModExpService:
         return primary.result()
 
     def _rid(self, entry: _Entry) -> str:
-        request = entry.request
-        if request.request_id:
-            return request.request_id
-        if request.trace is not None:
-            return request.trace.request_id
-        return f"idx{entry.input_index}"
+        return entry.request.request_id or f"idx{entry.input_index}"
 
     def _verify_value(
         self, entry: _Entry, value: int, attempt: int, backend_name: str
@@ -1028,7 +674,7 @@ class ModExpService:
     def _attach_bundle(self, exc: FaultDetected, entry: _Entry) -> None:
         """Point a detected fault at its flight-recorder bundle, if any.
 
-        The faulting execution may have run in a process worker — its
+        The faulting execution may have run in a shard worker — its
         hub lives in another interpreter — so the handoff is the dump
         directory on disk: the newest bundle tagged with this request id
         becomes the error's ``bundle_path``.
@@ -1083,42 +729,17 @@ class ModExpService:
                 return candidate
         return None
 
-    def _requeue_after_break(self, entry: _Entry) -> Tuple[str, Any]:
-        """A worker process died under this request: resubmit exactly once.
-
-        The pool replaces its broken executor on the next submission
-        (``respawn``); the request is requeued with a bumped attempt
-        index so a deterministic chaos kill does not simply re-fire.
-        """
-        entry.requeued = True
-        if OBS.enabled:
-            OBS.count("serving.requeued", backend=self.backend.name)
-        try:
-            entry.submitted_at = time.monotonic()
-            entry.future = self.pool.submit(
-                _run_request,
-                self._backend_spec(),
-                entry.context,
-                entry.request,
-                self.chaos,
-                1,  # attempt index for the chaos RNG key
-                self.pool.kind == "process",
-            )
-        except BaseException as exc:
-            return "error", exc
-        return self._await_future(entry)
-
     def _collect(self, entry: _Entry) -> ModExpResult:
         """Resolve one entry: harvest, verify, and recover as configured.
 
-        The recovery ladder, in order: (1) a request whose worker
-        process died is requeued once through the respawned pool;
-        (2) completed values run through the verification policy —
-        detected corruption becomes a failure; (3) failures consume the
-        retry policy, re-executing inline on this thread (optionally
-        failing over to another backend when the primary's breaker is
-        open), with every retried value verified.  Whatever survives is
-        the result.
+        The recovery ladder, in order: (1) completed values run through
+        the verification policy — detected corruption becomes a
+        failure; (2) failures consume the retry policy, re-executing
+        inline on this thread (optionally failing over to another
+        backend when the primary's breaker is open), with every retried
+        value verified.  Whatever survives is the result.  (A request
+        whose shard worker died was already requeued once by the shard
+        pool before its future failed.)
         """
         if entry.result is not None:  # rejected or pre-resolved
             return entry.result
@@ -1127,15 +748,6 @@ class ModExpService:
         used = primary
         attempt = 0
         status, payload = self._await_future(entry)
-
-        if (
-            status == "error"
-            and isinstance(payload, BrokenExecutor)
-            and not entry.requeued
-            and self.pool.kind == "process"
-        ):
-            attempt = 1
-            status, payload = self._requeue_after_break(entry)
 
         if status == "ok":
             value = payload[0]
@@ -1161,7 +773,7 @@ class ModExpService:
                 batch_index=entry.batch_index,
             )
 
-        value, cycles, wall_us, worker, telemetry = payload
+        value, cycles, wall_us, worker, span = payload
         if OBS.enabled:
             OBS.count("serving.requests", status="completed", backend=used)
             # A completed-but-late result still violated its deadline;
@@ -1172,8 +784,15 @@ class ModExpService:
                     "serving.deadline_violations",
                     **{"class": request.priority},
                 )
-            if telemetry is not None:
-                self._merge_telemetry(entry, telemetry)
+            if span is not None and OBS.tracer is not None:
+                OBS.tracer.adopt_span(
+                    REQUEST_SPAN,
+                    span["events"],
+                    span["cycles"],
+                    worker=worker,
+                    request_id=self._rid(entry),
+                    backend=used,
+                )
             if cycles is not None:
                 OBS.record(
                     "serving.request_cycles", cycles, backend=used, worker=worker
@@ -1213,11 +832,6 @@ class ModExpService:
             return status, payload, used, attempt
         request = entry.request
         rid = self._rid(entry)
-        # Inline execution must not re-enter telemetry capture (that is
-        # for process workers); strip the trace envelope for retries.
-        inline_request = (
-            replace(request, trace=None) if request.trace is not None else request
-        )
         while attempt + 1 < policy.max_attempts and status != "ok":
             remaining = request.remaining_s()
             if remaining is not None and not policy.worth_retrying(attempt, remaining):
@@ -1254,14 +868,22 @@ class ModExpService:
                     # recorder armed: if the corruption reproduces (a
                     # deterministic register flip, a sick backend), the
                     # black box captures signal-level evidence this time.
-                    payload = _run_request(
+                    started = time.perf_counter()
+                    out = execute_with_chaos(
                         target,
                         ctx,
-                        inline_request,
+                        request,
                         self.chaos,
                         attempt,
                         False,
                         arm_flightrec=retry_fault,
+                    )
+                    payload = (
+                        out.value,
+                        out.cycles,
+                        (time.perf_counter() - started) * 1e6,
+                        worker_label(),
+                        None,
                     )
                 except BaseException as exc:
                     status, payload = "error", exc
@@ -1342,10 +964,8 @@ class ModExpService:
             ):
                 # Chaos decisions and verification sampling key their RNGs
                 # on the request id; give anonymous requests a stable one.
-                self._trace_seq += 1
-                request = replace(request, request_id=f"req{self._trace_seq}")
-            if OBS.enabled and request.trace is None:
-                request = replace(request, trace=self._trace_context(request))
+                self._id_seq += 1
+                request = replace(request, request_id=f"req{self._id_seq}")
             servable.append(request)
             entry = _Entry(request, index)
             entry.admitted_at = admitted_at

@@ -1,15 +1,9 @@
 """Sharded serving data plane: warm, modulus-homed worker processes.
 
-The process-pool data plane pays for its generality twice per request:
-the task function and its arguments are pickled through a
-``ProcessPoolExecutor``, and whichever worker happens to pick the task
-up starts with cold caches — the compiled-kernel LRU and the
-``precompute_montgomery_constants()`` table are per-process, so a
-request's modulus is as likely as not to land on a worker that has
-never seen it.  ``benchmarks/results/serving_throughput.txt`` recorded
-the verdict: four process workers ran *slower* than sequential.
-
-This module replaces that plane with three pieces:
+A worker process starts with cold caches — the compiled-kernel LRU and
+the ``precompute_montgomery_constants()`` table are per-process — so the
+plane sends every request of a modulus to the same worker, and sends it
+a whole coalesced batch at a time.  Three pieces:
 
 * :class:`ShardMap` — a consistent-hash ring that assigns every
   ``(modulus, l)`` key a **home shard**.  Same key, same shard, every
@@ -21,17 +15,14 @@ This module replaces that plane with three pieces:
 * the **batch frame** wire (see :mod:`repro.serving.wire`) — one
   coalesced batch travels to its shard as one length-prefixed binary
   message over a duplex pipe, big-int operands as raw bytes; the shard
-  answers with one result frame carrying every outcome plus a metrics
-  snapshot for the whole batch.  No pickling, no per-request IPC.
-* :class:`ShardPool` — the dispatcher.  It exposes the same surface the
-  service uses on :class:`~repro.serving.pool.WorkerPool` (``depth``,
-  ``abandon``, ``wait_for_capacity``, ``shutdown``, the shared
-  :class:`~repro.serving.pool.SlotWindow` backpressure), plus
-  :meth:`~ShardPool.submit_batch`, which reserves one slot per request,
+  answers with one result frame carrying every outcome plus a telemetry
+  blob for the whole batch.  No pickling, no per-request IPC.
+* :class:`ShardPool` — the dispatcher.  :meth:`~ShardPool.submit_batch`
+  reserves one :class:`~repro.serving.pool.SlotWindow` slot per request,
   ships the frame, and returns one future per request resolving to the
-  same ``(value, cycles, wall_us, worker, telemetry)`` payload the
-  pool tasks produce — so the service's collector, verifier, retry
-  ladder and SLO accounting work unchanged.
+  same ``(value, cycles, wall_us, worker, span)`` payload the inline
+  plane produces — so the service's collector, verifier, retry ladder
+  and SLO accounting do not know which plane ran the batch.
 
 **Failure semantics.**  Failures are graded, not binary.  Each shard
 slot carries a :class:`~repro.serving.health.ShardHealth` machine
@@ -54,9 +45,12 @@ service's inline retry ladder.  A worker sends its result frame only
 after finishing the whole batch, and the pipe delivers buffered frames
 before EOF, so a batch is never both answered and requeued.
 
-**Telemetry.**  Each worker wraps every batch in a fresh local
-observation session and ships the registry snapshot home in the result
-frame; the parent merges it with ``shard=N`` / ``worker=shardN`` labels.
+**Telemetry.**  When the parent observes, each worker wraps every batch
+in a fresh local observation session and ships the registry snapshot
+home in the result frame; the parent merges it with ``shard=N`` /
+``worker=shardN`` labels.  When the parent also has a tracer, the span
+flag asks the worker for one span session per request; the service
+adopts each under a ``serving.request`` span on the shard's track.
 The per-shard ``montgomery.precompute`` / ``montgomery.precompute_cache_hits``
 counters that fall out are the homing proof: a warm shard serves its
 home moduli from cache.  The pool additionally maintains
@@ -86,18 +80,25 @@ from repro.errors import (
     ShardFailure,
     WireFormatError,
 )
-from repro.montgomery.params import precompute_montgomery_constants
+from repro.montgomery.params import MontgomeryContext, precompute_montgomery_constants
 from repro.observability import OBS, MetricsRegistry, observe
 from repro.robustness.chaos import ChaosConfig, FaultPlan
+from repro.serving.backends import default_registry
 from repro.serving.health import HealthConfig, ShardHealth
-from repro.serving.pool import SlotWindow
+from repro.serving.pool import (
+    SlotWindow,
+    WindowedPool,
+    cheapest_capable,
+    execute_batch,
+    row_payload,
+)
 from repro.serving.request import ModExpRequest
-from repro.serving.scheduler import lane_groups
 from repro.serving.wire import (
     BATCH_FRAME,
     NACK_FRAME,
     RESULT_FRAME,
     batch_frame_cheap_mode,
+    batch_frame_wants_spans,
     decode_batch_frame,
     decode_nack_frame,
     encode_batch_frame,
@@ -208,15 +209,6 @@ class ShardMap:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _error_row(request_id: str, exc: BaseException) -> Dict[str, Any]:
-    return {
-        "id": request_id,
-        "error_type": type(exc).__name__,
-        "check": str(getattr(exc, "check", "")),
-        "error": str(exc) or type(exc).__name__,
-    }
-
-
 def _shard_worker_main(
     conn: Any, shard_index: int, backend_name: str, chaos: Optional[ChaosConfig]
 ) -> None:
@@ -225,9 +217,17 @@ def _shard_worker_main(
     Runs in a forked child.  The backend is resolved by name **once** —
     its compiled-kernel caches, and the process-wide Montgomery constant
     cache, then live for the worker's whole life; that persistence is the
-    entire point of homing moduli onto shards.  Each batch executes under
-    a fresh local observation session whose snapshot travels back in the
-    result frame (telemetry per batch, not per request).
+    entire point of homing moduli onto shards.  The batch itself runs
+    through :func:`~repro.serving.pool.execute_batch`, the executor the
+    inline plane calls too.
+
+    Telemetry is opt-in per batch through two frame flags, set from the
+    parent's observation session: the metrics flag wraps the batch in a
+    fresh local registry whose snapshot travels back in the result
+    frame's telemetry blob; the span flag (parent has a tracer) adds one
+    span session per request under the blob's ``spans`` key.  The
+    engines' hook sites are not free, so an un-instrumented run pays for
+    neither.
 
     An empty frame is the shutdown pill.  A batch frame this worker
     cannot decode is **not** fatal: the pipe preserves message
@@ -236,9 +236,7 @@ def _shard_worker_main(
     serving; the parent degrades the shard and requeues the batch.  Only
     a closed pipe ends the loop.
     """
-    from repro.serving.service import _execute_with_chaos, _worker_registry
-
-    registry_obj = _worker_registry()
+    registry_obj = default_registry()
     backend = registry_obj.get(backend_name)
     chaos = chaos if (chaos is not None and chaos.active) else None
     frame_plan = (
@@ -273,110 +271,37 @@ def _shard_worker_main(
             # Brownout lever: execute on the registry's cheapest backend
             # still capable of this batch instead of the primary.
             if cheap_backend is None:
-                cheap_backend = _cheapest_capable(
+                cheap_backend = cheapest_capable(
                     registry_obj, requests[0], fallback=backend
                 )
             exec_backend = cheap_backend
         else:
             exec_backend = backend
-        caps = exec_backend.capabilities
-        # Metrics capture is opt-in per batch (frame flag, set when the
-        # parent runs under an observation session): the engines' hook
-        # sites on the multiply/exponentiate hot path are not free, and
-        # an un-instrumented serving run must not pay for a snapshot
-        # nobody will read.
+        spans = batch_frame_wants_spans(data)
         registry = MetricsRegistry() if want_telemetry else None
-        results: List[Dict[str, Any]] = []
         started = time.perf_counter()
         with observe(metrics=registry) if registry is not None else nullcontext():
             ctx = precompute_montgomery_constants(
                 requests[0].modulus, requests[0].l
             )
-            # Pre-execute deadline check: a request that expired while
-            # queued or in transit gets a typed failure instead of a
-            # modexp nobody is waiting for.
-            live: List[ModExpRequest] = []
-            for request in requests:
-                if request.expired():
-                    if OBS.enabled:
-                        OBS.count("serving.deadline_expired", where="worker")
-                    results.append(
-                        _error_row(
-                            request.request_id,
-                            DeadlineExceeded(
-                                "deadline passed before execution",
-                                where="worker",
-                            ),
-                        )
-                    )
-                else:
-                    live.append(request)
-            requests = live
-            # Lane packing is suspended under chaos, exactly as in the
-            # parent's dispatcher: every request needs its own fault
-            # decision, which a lock-step sweep cannot honour.
-            if caps.lanes > 1 and chaos is None:
-                groups = lane_groups(
-                    requests, caps.lanes, mixed=caps.mixed_exponent_lanes
-                )
-            else:
-                groups = [[request] for request in requests]
-            for group in groups:
-                if OBS.enabled:
-                    OBS.count(
-                        "serving.lane_groups",
-                        packed="yes" if len(group) > 1 else "no",
-                    )
-                    OBS.record(
-                        "serving.lane_group_size",
-                        len(group),
-                        backend=exec_backend.name,
-                    )
-                if len(group) == 1:
-                    request = group[0]
-                    t0 = time.perf_counter()
-                    try:
-                        out = _execute_with_chaos(
-                            exec_backend, ctx, request, chaos, attempt, True
-                        )
-                    except BaseException as exc:
-                        results.append(_error_row(request.request_id, exc))
-                        continue
-                    wall_us = (time.perf_counter() - t0) * 1e6
-                    row: Dict[str, Any] = {
-                        "id": request.request_id,
-                        "value": out.value,
-                        "wall_us": wall_us,
-                    }
-                    if out.cycles is not None:
-                        row["cycles"] = out.cycles
-                    results.append(row)
-                else:
-                    t0 = time.perf_counter()
-                    try:
-                        outs = exec_backend.execute_many(ctx, list(group))
-                    except BaseException as exc:
-                        results.extend(
-                            _error_row(r.request_id, exc) for r in group
-                        )
-                        continue
-                    # Wall time is amortized evenly over the lane sweep.
-                    wall_us = (time.perf_counter() - t0) * 1e6 / len(group)
-                    for request, out in zip(group, outs):
-                        row = {
-                            "id": request.request_id,
-                            "value": out.value,
-                            "wall_us": wall_us,
-                        }
-                        if out.cycles is not None:
-                            row["cycles"] = out.cycles
-                        results.append(row)
+            rows = execute_batch(
+                exec_backend,
+                ctx,
+                requests,
+                chaos=chaos,
+                attempt=attempt,
+                allow_kill=True,
+                spans=spans,
+            )
         batch_wall_us = (time.perf_counter() - started) * 1e6
+        telemetry = registry.snapshot() if registry is not None else None
+        if spans:
+            telemetry = telemetry or {}
+            telemetry["spans"] = {
+                row["id"]: row.pop("span") for row in rows if "span" in row
+            }
         frame = encode_result_frame(
-            batch_id,
-            results,
-            batch_wall_us=batch_wall_us,
-            telemetry=registry.snapshot() if registry is not None else None,
+            batch_id, rows, batch_wall_us=batch_wall_us, telemetry=telemetry
         )
         if frame_plan is not None:
             decision = frame_plan.decide_frame(batch_id, attempt)
@@ -387,23 +312,6 @@ def _shard_worker_main(
             conn.send_bytes(frame)
         except (OSError, ValueError, BrokenPipeError):
             return
-
-
-def _cheapest_capable(registry: Any, probe: ModExpRequest, *, fallback: Any) -> Any:
-    """The registry backend with the lowest estimated cost for ``probe``.
-
-    The brownout controller's "cheap backends" level trades fidelity for
-    throughput; the worker makes the trade locally because only it knows
-    which backends its registry actually holds.
-    """
-    best, best_cost = fallback, None
-    for candidate in registry:
-        if candidate.reject_reason(probe) is not None:
-            continue
-        cost = candidate.estimate_cost(probe)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = candidate, cost
-    return best
 
 
 # ----------------------------------------------------------------------
@@ -517,13 +425,13 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-class ShardPool:
+class ShardPool(WindowedPool):
     """Front-end dispatcher over N pre-forked, modulus-homed workers.
 
-    Presents the :class:`~repro.serving.pool.WorkerPool` surface the
-    service relies on (``kind``/``workers``/``depth``/``restarts``,
-    ``abandon``/``wait_for_capacity``/``shutdown``) with batch-frame
-    dispatch instead of per-task submission.  One slot of the shared
+    The service's shard plane: :meth:`submit_batch` ships a coalesced
+    batch as one frame, the rest of the surface (``depth``, ``load``,
+    ``abandon``, ``wait_for_capacity``) comes from
+    :class:`~repro.serving.pool.WindowedPool`.  One slot of the shared
     :class:`SlotWindow` is reserved per *request*; a batch larger than
     the whole window is admitted when the window is empty so ``wait``
     mode can never deadlock.
@@ -615,16 +523,6 @@ class ShardPool:
         shard.reader = reader
         reader.start()
         return shard
-
-    @property
-    def depth(self) -> int:
-        """Total in-flight request count across every shard."""
-        return self._window.depth
-
-    @property
-    def load(self) -> float:
-        """Window occupancy in ``[0, 1]`` — the brownout pressure signal."""
-        return min(self._window.depth / max(self.queue_limit, 1), 1.0)
 
     @property
     def shard_pids(self) -> List[int]:
@@ -720,18 +618,23 @@ class ShardPool:
     # Dispatch
     # ------------------------------------------------------------------
     def submit_batch(
-        self, requests: Sequence[ModExpRequest], *, cheap_mode: bool = False
+        self,
+        requests: Sequence[ModExpRequest],
+        *,
+        context: Optional[MontgomeryContext] = None,
+        cheap_mode: bool = False,
     ) -> List[Future]:
         """Ship one coalesced batch to its home shard as a single frame.
 
         Reserves one window slot per request (raising
         :class:`~repro.errors.QueueFull` past the bound, unless the
         window is empty) and returns one future per request, in request
-        order.  Each future resolves to the standard pool payload
-        ``(value, cycles, wall_us, worker, telemetry)`` — telemetry is
-        always ``None`` here because the batch's worker snapshot is
-        merged by the reader thread, once per batch — or raises the
-        reconstructed worker-side error.
+        order.  Each future resolves to the collector payload
+        ``(value, cycles, wall_us, worker, span)`` — ``span`` is the
+        request's worker span session when the parent has a tracer,
+        else ``None`` — or raises the reconstructed worker-side error.
+        ``context`` is accepted for parity with the inline pool and
+        ignored: the worker takes the constants from its own warm cache.
         """
         if self._closed:
             raise QueueFull("shard pool is shut down")
@@ -805,6 +708,7 @@ class ShardPool:
             wire_requests,
             attempt=attempt,
             want_telemetry=OBS.enabled,
+            want_spans=OBS.tracer is not None,
             cheap_mode=cheap_mode,
         )
         self._send(pending, frame, target=target)
@@ -934,10 +838,13 @@ class ShardPool:
             if pending is None:
                 continue  # batch abandoned wholesale (shutdown race)
             self._account_batch(shard, pending, batch_wall_us, telemetry, len(data))
+            spans = telemetry.get("spans", {}) if telemetry is not None else {}
             for row in rows:
                 future = pending.by_id.get(row.get("id", ""))
                 if future is None:
                     continue
+                if row["id"] in spans:
+                    row["span"] = spans[row["id"]]
                 self._resolve(shard, future, row)
             # Any future the worker failed to answer (should not happen)
             # still must not leak its slot.
@@ -991,15 +898,7 @@ class ShardPool:
     def _resolve(self, shard: _Shard, future: Future, row: Dict[str, Any]) -> None:
         try:
             if "value" in row:
-                future.set_result(
-                    (
-                        row["value"],
-                        row.get("cycles"),
-                        row.get("wall_us", 0.0),
-                        shard.label,
-                        None,
-                    )
-                )
+                future.set_result(row_payload(row, shard.label))
             else:
                 future.set_exception(_rebuild_error(row))
         except InvalidStateError:
@@ -1112,6 +1011,7 @@ class ShardPool:
             pending.requests,
             attempt=pending.attempt,
             want_telemetry=OBS.enabled,
+            want_spans=OBS.tracer is not None,
         )
         try:
             self._send(pending, frame)
@@ -1133,29 +1033,8 @@ class ShardPool:
                 self._window.release(future)
 
     # ------------------------------------------------------------------
-    # WorkerPool surface
+    # Shutdown
     # ------------------------------------------------------------------
-    def abandon(self, future: Future) -> bool:
-        """Give up on one request (deadline blown): free its slot now.
-
-        The worker may still answer later; the resolver then finds the
-        future cancelled/abandoned and drops the result on the floor.
-        """
-        future.cancel()
-        if self._window.release(future):
-            if OBS.enabled:
-                OBS.count("serving.abandoned")
-            return True
-        return False
-
-    def wait_for_capacity(
-        self, timeout: Optional[float] = None, *, slots: int = 1
-    ) -> bool:
-        return self._window.wait(timeout, slots=slots)
-
-    def respawn(self) -> None:
-        """No-op for API parity: shards respawn themselves on death."""
-
     def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:
         with self._lifecycle:
             if self._closed:
@@ -1180,9 +1059,3 @@ class ShardPool:
         for shard in shards:
             if shard.reader is not None and wait:
                 shard.reader.join(timeout=5)
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

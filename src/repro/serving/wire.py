@@ -29,6 +29,8 @@ Frame grammar (all integers unsigned, network byte order)::
                 bflags bit 1: brownout cheap mode — the worker executes
                 on its registry's cheapest capable backend instead of
                 its primary
+                bflags bit 2: caller has a tracer — the worker records
+                one span session per request into the telemetry blob
     request  := str16 id | bigint base | bigint exponent | u8 flags
                 | [bigint p | bigint q]         when flags bit 0
                 | [f64 expires_at]              when flags bit 1
@@ -54,7 +56,9 @@ bound, a truncated length prefix, or a payload shorter than its declared
 structure all raise :class:`~repro.errors.WireFormatError` — a corrupt
 pipe can never allocate unbounded memory or be half-parsed silently.
 The trailing telemetry blob is the worker's per-batch metrics snapshot
-(JSON — it is cold-path, per batch, and schema-free by design).
+(JSON — it is cold-path, per batch, and schema-free by design); with
+batch-flag bit 2 it also carries ``spans``: request id → ``{"cycles",
+"events"}``, one span session per executed request.
 
 Request line fields
 -------------------
@@ -124,6 +128,7 @@ __all__ = [
     "encode_batch_frame",
     "decode_batch_frame",
     "batch_frame_cheap_mode",
+    "batch_frame_wants_spans",
     "encode_result_frame",
     "decode_result_frame",
     "encode_nack_frame",
@@ -330,6 +335,7 @@ _INTERACTIVE = 0x04
 #: batch flags
 _WANT_TELEMETRY = 0x01
 _CHEAP_MODE = 0x02
+_WANT_SPANS = 0x04
 
 
 def _seal(buf: bytearray) -> bytes:
@@ -431,6 +437,7 @@ def encode_batch_frame(
     *,
     attempt: int = 0,
     want_telemetry: bool = True,
+    want_spans: bool = False,
     cheap_mode: bool = False,
 ) -> bytes:
     """One coalesced batch as a binary frame payload.
@@ -442,7 +449,8 @@ def encode_batch_frame(
     engine hot path are not free) and answers with an empty telemetry
     blob.  ``cheap_mode`` sets bit 1 — the brownout lever: the worker
     executes the batch on its registry's cheapest capable backend
-    instead of its primary.  A request's absolute deadline and priority
+    instead of its primary.  ``want_spans`` sets bit 2: the worker
+    records one span session per request into the telemetry blob.  A request's absolute deadline and priority
     class ride per-request flags, so expiry is checkable worker-side.
     """
     if not requests:
@@ -454,6 +462,8 @@ def encode_batch_frame(
     bflags = _WANT_TELEMETRY if want_telemetry else 0
     if cheap_mode:
         bflags |= _CHEAP_MODE
+    if want_spans:
+        bflags |= _WANT_SPANS
     buf.append(bflags)
     _put_bigint(buf, modulus, "modulus")
     buf += _U32.pack(l)
@@ -487,8 +497,9 @@ def decode_batch_frame(
     """Parse a batch frame payload.
 
     Returns ``(batch_id, attempt, want_telemetry, requests)``.  The
-    cheap-mode flag is available separately via
-    :func:`batch_frame_cheap_mode` so this signature stays stable.
+    cheap-mode and span flags are available separately via
+    :func:`batch_frame_cheap_mode` and :func:`batch_frame_wants_spans`
+    so this signature stays stable.
     """
     r = _Reader(_open(payload, "batch frame"))
     kind = r.u8("frame kind")
@@ -497,7 +508,7 @@ def decode_batch_frame(
     batch_id = r.u64("batch id")
     attempt = r.u8("attempt")
     bflags = r.u8("batch flags")
-    if bflags & ~(_WANT_TELEMETRY | _CHEAP_MODE):
+    if bflags & ~(_WANT_TELEMETRY | _CHEAP_MODE | _WANT_SPANS):
         raise WireFormatError(f"unknown batch flags 0x{bflags:02x}")
     want_telemetry = bool(bflags & _WANT_TELEMETRY)
     modulus = r.bigint("modulus")
@@ -536,11 +547,20 @@ def decode_batch_frame(
     return batch_id, attempt, want_telemetry, requests
 
 
-def batch_frame_cheap_mode(payload: bytes) -> bool:
-    """Peek the brownout cheap-mode flag of a batch frame payload."""
+def _batch_flag(payload: bytes, flag: int) -> bool:
     if len(payload) < 11 or payload[0] != BATCH_FRAME:
         return False
-    return bool(payload[10] & _CHEAP_MODE)
+    return bool(payload[10] & flag)
+
+
+def batch_frame_cheap_mode(payload: bytes) -> bool:
+    """Peek the brownout cheap-mode flag of a batch frame payload."""
+    return _batch_flag(payload, _CHEAP_MODE)
+
+
+def batch_frame_wants_spans(payload: bytes) -> bool:
+    """Peek the per-request span flag of a batch frame payload."""
+    return _batch_flag(payload, _WANT_SPANS)
 
 
 def encode_nack_frame(batch_id: int, message: str) -> bytes:

@@ -30,7 +30,7 @@ def _requests(l: int, count: int, seed: int = 0, mixed: bool = True):
 class TestRegistration:
     def test_registered_with_chip_capabilities(self):
         caps = default_registry().get("chip").capabilities
-        assert caps.simulator and caps.cycle_accurate and not caps.process_safe
+        assert caps.simulator and caps.cycle_accurate
         assert caps.lanes == 4  # 2 tiles x 2 waves
         assert caps.mixed_exponent_lanes
         assert "2-tile x 2-wave" in caps.description
@@ -108,7 +108,7 @@ class TestServiceIntegration:
     def test_through_service_with_mixed_exponent_lanes(self):
         reqs, n = _requests(16, 7, seed=7)
         with ModExpService(
-            backend="chip", workers=2, worker_kind="thread"
+            backend="chip", workers=2, worker_kind="shard"
         ) as service:
             results = service.process(reqs)
         assert all(r.ok for r in results)
@@ -122,7 +122,7 @@ class TestServiceIntegration:
         reg = MetricsRegistry()
         with observe(metrics=reg):
             with ModExpService(
-                backend="chip", workers=1, worker_kind="thread"
+                backend="chip", workers=1, worker_kind="inline"
             ) as service:
                 results = service.process(reqs)
         assert all(r.ok for r in results)

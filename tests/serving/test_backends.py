@@ -56,7 +56,7 @@ class TestRegistry:
         reg = default_registry()
         rows = reg.capability_rows()
         assert [row[0] for row in rows] == reg.names()
-        assert all(len(row) == 7 for row in rows)
+        assert all(len(row) == 6 for row in rows)
 
 
 class TestCapabilityScreen:
@@ -79,13 +79,6 @@ class TestCapabilityScreen:
         with_factors = ModExpRequest(2, 3, 15, factors=(3, 5))
         assert crt.reject_reason(plain) is not None
         assert crt.reject_reason(with_factors) is None
-
-    def test_simulators_are_thread_only(self):
-        reg = default_registry()
-        for name in ("rtl", "gate"):
-            caps = reg.get(name).capabilities
-            assert caps.simulator and not caps.process_safe
-        assert reg.get("integer").capabilities.process_safe
 
 
 class TestCostModel:

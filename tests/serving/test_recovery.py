@@ -8,7 +8,6 @@ corruptions.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -22,9 +21,9 @@ from repro.robustness import (
     VerifyPolicy,
 )
 from repro.robustness.breaker import BreakerBoard
-from repro.serving.pool import WorkerPool
 from repro.serving.request import ModExpRequest
 from repro.serving.service import ModExpService
+from repro.serving.shard import ShardPool
 
 N = 0xC96F4F3C6D21E1F1A9F5A8B7 | 1  # 96-bit odd modulus
 
@@ -46,75 +45,56 @@ def expected(i, exponent=65537):
     return pow(3 + i, exponent, N)
 
 
+def _slow(latency_s):
+    """Chaos plan under which every execution sleeps ``latency_s``."""
+    return ChaosConfig(seed=1, latency_rate=1.0, latency_s=latency_s)
+
+
 # ----------------------------------------------------------------------
 # Satellite bugfix: slot accounting under timeout / cancellation
 # ----------------------------------------------------------------------
 class TestPoolSlotRelease:
     def test_abandon_frees_the_slot_of_a_running_task(self):
         """Regression: before `abandon`, a timed-out but still-running
-        task held its in-flight slot forever; enough of them saturated
+        request held its in-flight slot forever; enough of them saturated
         the window permanently and every later submit deadlocked."""
-        release = threading.Event()
-        pool = WorkerPool(workers=1, kind="thread", queue_limit=2)
+        pool = ShardPool(
+            shards=1, backend="integer", queue_limit=2, chaos=_slow(0.3)
+        )
         try:
-            stuck = [pool.submit(release.wait, 30) for _ in range(2)]
-            # Window is saturated by wedged tasks: submission rejects.
+            stuck = pool.submit_batch(reqs(2))  # the worker sleeps on both
+            # Window is saturated by in-flight requests: submission rejects.
             with pytest.raises(QueueFull):
-                pool.submit(lambda: None)
-            # The running task's slot is released by abandon itself; the
-            # queued one's by cancel()'s done callback — either way the
-            # window fully drains.
+                pool.submit_batch(reqs(1, prefix="x"))
             for f in stuck:
                 pool.abandon(f)
             assert pool.depth == 0
             # The freed window admits new work — this is the submission
             # that raised QueueFull forever pre-fix.
-            replacement = pool.submit(lambda: 7)
-            release.set()  # the wedged worker drains and picks it up
-            assert replacement.result(timeout=10) == 7
-            time.sleep(0.05)  # abandoned task finishing must not double-free
+            (replacement,) = pool.submit_batch(reqs(1, prefix="y"))
+            assert replacement.result(timeout=10)[0] == expected(0)
+            time.sleep(0.05)  # the abandoned answers must not double-free
             assert pool.depth == 0
         finally:
-            release.set()
             pool.shutdown(wait=False)
 
     def test_abandon_is_idempotent_with_the_done_callback(self):
-        pool = WorkerPool(workers=1, kind="thread", queue_limit=4)
-        try:
-            f = pool.submit(lambda: 1)
+        with ShardPool(shards=1, backend="integer", queue_limit=4) as pool:
+            (f,) = pool.submit_batch(reqs(1))
             f.result(timeout=10)
-            time.sleep(0.05)  # let the done callback release first
+            time.sleep(0.05)  # let the reader thread release first
             assert not pool.abandon(f)  # already released: no double-free
             assert pool.depth == 0
-        finally:
-            pool.shutdown()
 
     def test_service_timeout_path_releases_slots(self):
         """Saturation-after-timeouts regression at the service level:
         requests that blow their deadline must not eat the window."""
-        from repro.serving.backends import (
-            BackendCapabilities,
-            BackendResult,
-            ModExpBackend,
-        )
-
-        release = threading.Event()
-
-        class Wedged(ModExpBackend):
-            name = "wedged"
-            capabilities = BackendCapabilities(
-                description="test-only wedged backend", process_safe=False
-            )
-
-            def model_cycles(self, request):
-                return 1.0
-
-            def execute(self, ctx, request):
-                release.wait(30)
-                return BackendResult(request.expected(), None)
-
         svc = ModExpService(
-            backend=Wedged(), workers=2, worker_kind="thread", queue_limit=4
+            backend="integer",
+            workers=2,
+            worker_kind="shard",
+            queue_limit=4,
+            chaos=_slow(0.3),
         )
         try:
             for round_ in range(3):  # 12 timed-out requests through a 4-window
@@ -122,19 +102,18 @@ class TestPoolSlotRelease:
                 assert all(r.error_type == "TimeoutError" for r in results)
             assert svc.pool.depth == 0  # every slot came back
         finally:
-            release.set()
             svc.close(wait=False)
 
 
 # ----------------------------------------------------------------------
-# Worker-crash recovery (process pools)
+# Worker-crash recovery (shard workers)
 # ----------------------------------------------------------------------
 class TestWorkerCrashRecovery:
     def test_killed_workers_are_respawned_and_requests_requeued(self):
         svc = ModExpService(
             backend="integer",
             workers=2,
-            worker_kind="process",
+            worker_kind="shard",
             chaos=ChaosConfig(seed=11, worker_kill_rate=0.2),
             retry=RetryPolicy(max_attempts=4, backoff_s=0.0),
         )
@@ -142,7 +121,7 @@ class TestWorkerCrashRecovery:
             results = svc.process(reqs(30))
             assert all(r.ok for r in results)
             assert [r.value for r in results] == [expected(i) for i in range(30)]
-            assert svc.pool.restarts >= 1  # at least one pool respawn
+            assert svc.pool.restarts >= 1  # at least one shard respawn
         finally:
             svc.close(wait=False)
 
@@ -152,7 +131,7 @@ class TestWorkerCrashRecovery:
             svc = ModExpService(
                 backend="integer",
                 workers=1,
-                worker_kind="process",
+                worker_kind="shard",
                 chaos=ChaosConfig(seed=1, worker_kill_rate=0.5),
                 retry=RetryPolicy(max_attempts=4, backoff_s=0.0),
             )
@@ -319,14 +298,14 @@ class TestBreakerIntegration:
 class TestChaosAcceptance:
     def test_200_requests_process_pool_kills_exceptions_flips(self):
         """Kills (>=5%), exceptions (5%) and result bit flips (5%) over a
-        200-request batch through a real process pool: every returned
-        value equals pow(x, e, N); nothing silently corrupted."""
+        200-request batch through real shard worker processes: every
+        returned value equals pow(x, e, N); nothing silently corrupted."""
         registry = MetricsRegistry()
         with observe(metrics=registry):
             svc = ModExpService(
                 backend="integer",
                 workers=4,
-                worker_kind="process",
+                worker_kind="shard",
                 chaos=ChaosConfig(
                     seed=13,
                     worker_kill_rate=0.05,
@@ -358,7 +337,7 @@ class TestChaosAcceptance:
         svc = ModExpService(
             backend="gate",
             workers=1,
-            worker_kind="thread",
+            worker_kind="inline",
             chaos=ChaosConfig(seed=3, bitflip_rate=0.5),
             verify=VerifyPolicy(mode="full"),
             retry=RetryPolicy(max_attempts=6, backoff_s=0.0),

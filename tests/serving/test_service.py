@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.montgomery.params import montgomery_cache_clear
 from repro.observability import MetricsRegistry, observe
+from repro.robustness import ChaosConfig
 from repro.serving.backends import (
     BackendCapabilities,
     BackendRegistry,
@@ -37,12 +38,11 @@ def _workload(count: int, distinct_moduli: int, bits: int = 48, seed: int = 0):
 
 
 class SleepBackend(ModExpBackend):
-    """Test backend: configurable latency, correct answers."""
+    """Test backend: configurable latency, correct answers (inline only:
+    shard workers resolve backends by name from the default registry)."""
 
     name = "sleepy"
-    capabilities = BackendCapabilities(
-        description="test-only slow backend", process_safe=False
-    )
+    capabilities = BackendCapabilities(description="test-only slow backend")
 
     def __init__(self, delay: float) -> None:
         self.delay = delay
@@ -61,8 +61,18 @@ def _sleepy_registry(delay: float) -> BackendRegistry:
     return registry
 
 
+def _slow_shards(latency_s: float, **kw) -> ModExpService:
+    """A shard-plane service whose every execution sleeps ``latency_s``."""
+    return ModExpService(
+        backend="integer",
+        worker_kind="shard",
+        chaos=ChaosConfig(seed=1, latency_rate=1.0, latency_s=latency_s),
+        **kw,
+    )
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("kind", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["inline", "shard"])
     def test_results_match_pow_in_input_order(self, kind):
         requests = _workload(12, 3)
         with ModExpService(backend="integer", workers=2, worker_kind=kind) as svc:
@@ -83,7 +93,7 @@ class TestCorrectness:
 
     def test_unsupported_request_fails_without_dispatch(self):
         requests = _workload(2, 2, bits=20)
-        with ModExpService(backend="rtl", workers=1, worker_kind="thread") as svc:
+        with ModExpService(backend="rtl", workers=1, worker_kind="inline") as svc:
             wide = ModExpRequest(2, 3, (1 << 96) + 61)  # over rtl's 64-bit cap
             results = svc.process([requests[0], wide, requests[1]])
         assert results[0].ok and results[2].ok
@@ -97,24 +107,27 @@ class TestCorrectness:
         assert {r.batch_index for r in results} == {0, 1}
 
     def test_process_pool_requires_registered_name(self):
-        with pytest.raises(ParameterError, match="not process-safe"):
-            ModExpService(backend="gate", workers=2, worker_kind="process")
-
-        class _Portable(SleepBackend):
-            name = "portable"
-            capabilities = BackendCapabilities(
-                description="process-safe but unregistered", process_safe=True
-            )
-
-        registry = BackendRegistry()
-        registry.register(_Portable(0.0))
+        """The shard plane is the service's process pool: its workers
+        resolve the backend by name from the default registry, so a
+        custom registry's backend is refused there (and served inline)."""
+        registry = _sleepy_registry(0.0)
         with pytest.raises(ParameterError, match="default registry"):
-            ModExpService(
-                backend="portable",
-                registry=registry,
-                workers=2,
-                worker_kind="process",
-            )
+            ModExpService(backend="sleepy", registry=registry, workers=2)
+        with ModExpService(
+            backend="sleepy", registry=registry, worker_kind="inline"
+        ) as svc:
+            assert svc.pool.kind == "inline"
+
+    @pytest.mark.parametrize("kind", ["auto", "thread", "process", "fiber"])
+    def test_only_the_two_planes_are_accepted(self, kind):
+        with pytest.raises(ParameterError, match="unknown worker kind"):
+            ModExpService(worker_kind=kind)
+
+    def test_default_plane_follows_worker_count(self):
+        with ModExpService(workers=1) as svc:
+            assert svc.pool.kind == "inline"
+        with ModExpService(workers=2) as svc:
+            assert svc.pool.kind == "shard" and svc.pool.workers == 2
 
 
 class TestTimeouts:
@@ -129,41 +142,44 @@ class TestTimeouts:
         )
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(
-                backend=SleepBackend(0.4),
-                registry=_sleepy_registry(0.4),
-                workers=1,
-                worker_kind="thread",
-            ) as svc:
+            svc = _slow_shards(0.4, workers=1)
+            try:
                 results = svc.process([slow])
+            finally:
+                svc.close(wait=False)
         assert not results[0].ok
         assert results[0].error_type == "TimeoutError"
         assert (
             registry.counter("serving.requests").value(
-                status="timeout", backend="sleepy"
+                status="timeout", backend="integer"
             )
             == 1
         )
 
     def test_default_timeout_applies_when_request_has_none(self):
         request = _workload(1, 1, bits=16, seed=4)[0]
-        with ModExpService(
-            backend=SleepBackend(0.4),
-            registry=_sleepy_registry(0.4),
-            workers=1,
-            worker_kind="thread",
-            default_timeout=0.05,
-        ) as svc:
+        svc = _slow_shards(0.4, workers=1, default_timeout=0.05)
+        try:
             results = svc.process([request])
+        finally:
+            svc.close(wait=False)
         assert results[0].error_type == "TimeoutError"
 
     def test_no_timeout_waits_for_completion(self):
         request = _workload(1, 1, bits=16, seed=5)[0]
+        with _slow_shards(0.1, workers=1) as svc:
+            results = svc.process([request])
+        assert results[0].ok and results[0].value == request.expected()
+
+    def test_inline_timeout_cannot_interrupt_an_execution(self):
+        """Inline batches run on the caller's thread before the collector
+        looks at them: a finished result is returned however late."""
+        request = _workload(1, 1, bits=16, seed=5)[0]
         with ModExpService(
             backend=SleepBackend(0.1),
             registry=_sleepy_registry(0.1),
-            workers=1,
-            worker_kind="thread",
+            worker_kind="inline",
+            default_timeout=0.01,
         ) as svc:
             results = svc.process([request])
         assert results[0].ok and results[0].value == request.expected()
@@ -173,39 +189,30 @@ class TestBackpressure:
     def test_saturated_service_rejects_rather_than_deadlocks(self):
         """Acceptance regression: queue_limit saturation yields QueueFull
         results and the call completes promptly."""
-        requests = _workload(8, 1, bits=16, seed=6)
+        # Four moduli -> four 2-request batches; the first fills the window.
+        requests = _workload(8, 4, bits=16, seed=6)
         registry = MetricsRegistry()
-        t0 = time.monotonic()
         with observe(metrics=registry):
-            with ModExpService(
-                backend=SleepBackend(0.15),
-                registry=_sleepy_registry(0.15),
-                workers=1,
-                worker_kind="thread",
-                queue_limit=2,
-                max_batch=16,
-            ) as svc:
+            svc = _slow_shards(0.15, workers=1, queue_limit=2, max_batch=16)
+            try:
+                t0 = time.monotonic()
                 results = svc.process(requests, on_full="reject")
-        elapsed = time.monotonic() - t0
+                elapsed = time.monotonic() - t0
+            finally:
+                svc.close()
         rejected = [r for r in results if r.error_type == "QueueFull"]
         completed = [r for r in results if r.ok]
         assert len(rejected) == 6 and len(completed) == 2
         # 2 sleeps' worth of work, not 8: rejection was immediate.
         assert elapsed < 2.0
         counters = registry.counter("serving.requests")
-        assert counters.value(status="accepted", backend="sleepy") == 2
-        assert counters.value(status="rejected", backend="sleepy") == 6
-        assert counters.value(status="completed", backend="sleepy") == 2
+        assert counters.value(status="accepted", backend="integer") == 2
+        assert counters.value(status="rejected", backend="integer") == 6
+        assert counters.value(status="completed", backend="integer") == 2
 
     def test_wait_mode_completes_everything(self):
         requests = _workload(6, 2, bits=16, seed=7)
-        with ModExpService(
-            backend=SleepBackend(0.02),
-            registry=_sleepy_registry(0.02),
-            workers=2,
-            worker_kind="thread",
-            queue_limit=2,
-        ) as svc:
+        with _slow_shards(0.02, workers=2, queue_limit=2) as svc:
             results = svc.process(requests, on_full="wait")
         assert all(r.ok for r in results)
 
