@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="bounded in-flight window in requests "
-            "(default: 4 inline, 32 x workers on shards)",
+            "(default: 4 inline, max-batch x workers on shards)",
         )
         grp.add_argument(
             "--timeout",

@@ -5,7 +5,8 @@ This package implements the arithmetic the paper's hardware realizes:
 * :mod:`repro.montgomery.params` — the parameter set (N, l, R = 2^(l+2), N',
   R² mod N) with the Walter/Örs bound built in.
 * :mod:`repro.montgomery.algorithms` — Algorithm 1 (with final subtraction)
-  and Algorithm 2 (without), plus step-by-step iteration traces.
+  and Algorithm 2 (without; computed in closed form), plus the printed
+  bit-serial loop with step-by-step iteration traces as the reference.
 * :mod:`repro.montgomery.bounds` — the R ≥ 4N bound analysis of Section 3.
 * :mod:`repro.montgomery.exponent` — Algorithm 3 modular exponentiation and
   the paper's cycle accounting.

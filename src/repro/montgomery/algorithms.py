@@ -1,24 +1,34 @@
 """Algorithms 1 and 2 of the paper: Montgomery multiplication.
 
-Two variants are implemented exactly as printed:
-
 * :func:`montgomery_with_subtraction` — Algorithm 1, the classical form with
   a data-dependent final subtraction (operands in ``[0, N)``, output in
-  ``[0, N)``).  Works for any word base ``2^α``.
+  ``[0, N)``), implemented as printed.  Works for any word base ``2^α``.
 * :func:`montgomery_no_subtraction` — Algorithm 2, the paper's radix-2 form
   with ``R = 2^(l+2)`` and **no** final subtraction (operands in ``[0, 2N)``,
-  output in ``[0, 2N)``).  This is what the systolic array computes.
+  output in ``[0, 2N)``).  This is what the systolic array computes.  It is
+  evaluated in closed form::
 
-Both return ``x·y·R^{-1}`` modulo N (Algorithm 2 modulo 2N, congruent
-mod N), and both can produce a full per-iteration trace — the sequence of
-quotient digits ``m_i`` and partial results ``T_i`` — which the hardware
-tests replay against the RTL and gate-level simulators.
+      M = (x·y mod R)·N'' mod R,   N'' = -N^{-1} mod R
+      T = (x·y + M·N) / R
+
+  which is bit-identical to the printed loop: iteration ``i`` picks the one
+  bit ``m_i`` that makes its partial sum even, so after ``l + 2``
+  iterations ``x·y + (Σ m_i 2^i)·N ≡ 0 (mod R)`` with ``Σ m_i 2^i < R``;
+  the only such value is ``M``, and the loop's ``T`` is the exact quotient
+  above.
+* :func:`montgomery_trace` — the printed Algorithm 2 loop, bit by bit, with
+  the quotient digit ``m_i`` and partial result ``T_i`` of every
+  iteration.  It is the digit-by-digit reference the RTL and gate-level
+  simulators are replayed against, and the only place the loop runs.
+
+Both algorithms return ``x·y·R^{-1}`` modulo N (Algorithm 2 modulo 2N,
+congruent mod N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ParameterError, SimulationError
 from repro.montgomery.params import MontgomeryContext
@@ -93,34 +103,7 @@ def montgomery_with_subtraction(
     return t
 
 
-def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
-    """Algorithm 2: radix-2 Montgomery multiplication *without* subtraction.
-
-    Requires ``x, y ∈ [0, 2N)`` and ``R = 2^(l+2) > 4N`` (guaranteed by
-    :class:`MontgomeryContext`); returns ``T ≡ x·y·R^{-1} (mod N)`` with
-    ``T < 2N``, so the result feeds the next multiplication directly.
-    """
-    result, _ = _run_no_subtraction(ctx, x, y, want_trace=False)
-    return result
-
-
-def montgomery_trace(
-    ctx: MontgomeryContext, x: int, y: int
-) -> Tuple[int, List[MontgomeryStep]]:
-    """Algorithm 2 with a full per-iteration trace.
-
-    Returns ``(T, steps)`` where ``steps[i]`` records ``x_i``, ``m_i`` and
-    the partial result after iteration ``i``.  The hardware simulators are
-    validated against this trace digit by digit.
-    """
-    result, steps = _run_no_subtraction(ctx, x, y, want_trace=True)
-    assert steps is not None
-    return result, steps
-
-
-def _run_no_subtraction(
-    ctx: MontgomeryContext, x: int, y: int, *, want_trace: bool
-) -> Tuple[int, Optional[List[MontgomeryStep]]]:
+def _check_radix2_operands(ctx: MontgomeryContext, x: int, y: int) -> None:
     if ctx.word_bits != 1:
         raise ParameterError(
             "Algorithm 2 is the radix-2 algorithm; use repro.montgomery.radix "
@@ -128,24 +111,58 @@ def _run_no_subtraction(
         )
     ctx.check_operand("x", x)
     ctx.check_operand("y", y)
-    n = ctx.modulus
-    iterations = ctx.iterations  # l + 2
-    y0 = y & 1
-    steps: Optional[List[MontgomeryStep]] = [] if want_trace else None
-    t = 0
-    for i in range(iterations):
-        x_i = (x >> i) & 1
-        m_i = (t ^ (x_i & y0)) & 1  # (t0 + x_i*y0) mod 2, N' = 1
-        t = (t + x_i * y + m_i * n) >> 1
-        if steps is not None:
-            steps.append(MontgomeryStep(index=i, x_digit=x_i, m_digit=m_i, t_after=t))
-    if t >= 2 * n:
+
+
+def _check_walter_bound(ctx: MontgomeryContext, t: int) -> int:
+    if t >= ctx.two_n:
         # The Walter bound guarantees this never happens; hitting it means
         # the context was constructed inconsistently.
         raise SimulationError(
-            f"Algorithm 2 output {t} >= 2N={2 * n}: Walter bound violated"
+            f"Algorithm 2 output {t} >= 2N={ctx.two_n}: Walter bound violated"
         )
-    return t, steps
+    return t
+
+
+def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
+    """Algorithm 2: radix-2 Montgomery multiplication *without* subtraction.
+
+    Requires ``x, y ∈ [0, 2N)`` and ``R = 2^(l+2) > 4N`` (guaranteed by
+    :class:`MontgomeryContext`); returns ``T ≡ x·y·R^{-1} (mod N)`` with
+    ``T < 2N``, so the result feeds the next multiplication directly.
+
+    Computes the closed form ``T = (x·y + M·N) / R`` with
+    ``M = x·y·N'' mod R`` from the context's precomputed ``N''`` and
+    ``R - 1``; the value equals the bit-serial loop of
+    :func:`montgomery_trace` for every operand pair in the window.
+    """
+    _check_radix2_operands(ctx, x, y)
+    xy = x * y
+    mask = ctx.r_mask
+    m = ((xy & mask) * ctx.n_neg_inv_r) & mask
+    return _check_walter_bound(ctx, (xy + m * ctx.modulus) >> ctx.r_exponent)
+
+
+def montgomery_trace(
+    ctx: MontgomeryContext, x: int, y: int
+) -> Tuple[int, List[MontgomeryStep]]:
+    """Algorithm 2 as printed, with a full per-iteration trace.
+
+    Returns ``(T, steps)`` where ``steps[i]`` records ``x_i``, ``m_i`` and
+    the partial result after iteration ``i``.  The hardware simulators are
+    validated against this trace digit by digit; ``T`` equals
+    :func:`montgomery_no_subtraction`.
+    """
+    _check_radix2_operands(ctx, x, y)
+    n = ctx.modulus
+    y0 = y & 1
+    steps: List[MontgomeryStep] = []
+    t = 0
+    for i in range(ctx.iterations):  # l + 2
+        x_i = (x >> i) & 1
+        m_i = (t ^ (x_i & y0)) & 1  # (t0 + x_i*y0) mod 2, N' = 1
+        t = (t + x_i * y + m_i * n) >> 1
+        steps.append(MontgomeryStep(index=i, x_digit=x_i, m_digit=m_i, t_after=t))
+    return _check_walter_bound(ctx, t), steps
 
 
 def montgomery_reduce(ctx: MontgomeryContext, value: int) -> int:

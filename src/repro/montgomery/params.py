@@ -8,7 +8,8 @@ and can be fed straight back into the next multiplication.
 
 :class:`MontgomeryContext` captures one parameter set and the derived
 constants every layer of the stack needs (``N' = -N^{-1} mod 2^α``,
-``R mod N``, ``R² mod N``, the operand window ``[0, 2N)``).
+``N'' = -N^{-1} mod R``, ``R mod N``, ``R² mod N``, the operand window
+``[0, 2N)``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class MontgomeryContext:
     iterations:
         Number of loop iterations of the multiplication algorithm
         (``l + 2`` for α = 1, ``ceil((l·α + 2)/α)`` digits in general).
+    n_neg_inv_r, r_mask, two_n:
+        ``N'' = -N^{-1} mod R``, ``R - 1`` and ``2N``: the constants of the
+        closed-form product in
+        :func:`~repro.montgomery.algorithms.montgomery_no_subtraction`.
     """
 
     modulus: int
@@ -65,6 +70,9 @@ class MontgomeryContext:
     n_prime: int = field(init=False)
     r_mod_n: int = field(init=False)
     r2_mod_n: int = field(init=False)
+    n_neg_inv_r: int = field(init=False)
+    r_mask: int = field(init=False)
+    two_n: int = field(init=False)
 
     def __post_init__(self) -> None:
         ensure_odd("modulus", self.modulus)
@@ -94,6 +102,11 @@ class MontgomeryContext:
         object.__setattr__(self, "n_prime", (-n_inv) % base)
         object.__setattr__(self, "r_mod_n", self.R % self.modulus)
         object.__setattr__(self, "r2_mod_n", (self.R * self.R) % self.modulus)
+        object.__setattr__(
+            self, "n_neg_inv_r", (-pow(self.modulus, -1, self.R)) % self.R
+        )
+        object.__setattr__(self, "r_mask", self.R - 1)
+        object.__setattr__(self, "two_n", 2 * self.modulus)
 
     # ------------------------------------------------------------------
     # Convenience properties
@@ -106,7 +119,7 @@ class MontgomeryContext:
     @property
     def operand_bound(self) -> int:
         """Exclusive upper bound ``2N`` of the Algorithm 2 operand window."""
-        return 2 * self.modulus
+        return self.two_n
 
     @property
     def r_inverse(self) -> int:
@@ -121,9 +134,9 @@ class MontgomeryContext:
         """Validate that ``value`` lies in the ``[0, 2N)`` operand window."""
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(f"{name} must be an int")
-        if not 0 <= value < self.operand_bound:
+        if not 0 <= value < self.two_n:
             raise ParameterError(
-                f"{name}={value} outside Algorithm 2 window [0, {self.operand_bound})"
+                f"{name}={value} outside Algorithm 2 window [0, {self.two_n})"
             )
         return value
 
@@ -155,9 +168,9 @@ def precompute_montgomery_constants(
 ) -> MontgomeryContext:
     """Return the cached :class:`MontgomeryContext` for ``(modulus, l)``.
 
-    The derived constants (``R``, ``R² mod N``, ``N'``) involve a modular
-    squaring and a modular inversion, so sharing them matters anywhere
-    many operations hit the same modulus: the exponentiator, the RSA
+    The derived constants (``R``, ``R² mod N``, ``N'``, ``N''``) involve a
+    modular squaring and two modular inversions, so sharing them matters
+    anywhere many operations hit the same modulus: the exponentiator, the RSA
     cipher, and especially the batch scheduler in :mod:`repro.serving`,
     which coalesces same-modulus requests exactly so this function runs
     once per batch instead of once per request.

@@ -201,16 +201,18 @@ def _square_multiply(
 # Concrete backends
 # ----------------------------------------------------------------------
 class IntegerBackend(ModExpBackend):
-    """Pure-integer Algorithm 2 with the proven RTL cycle accounting.
+    """Closed-form Algorithm 2 with the proven RTL cycle accounting.
 
-    The production fast path: big-int multiplications at any width, with
-    cycle counts the test suite proves identical to the measured RTL
-    model.  The default backend of ``repro serve``.
+    The production fast path: each Montgomery product is a few big-int
+    operations, ``(x·y + M·N) / R``, at any width, bit-identical to the
+    paper's bit-serial loop, with cycle counts the test suite proves
+    identical to the measured RTL model.  The default backend of
+    ``repro serve``.
     """
 
     name = "integer"
     capabilities = BackendCapabilities(
-        description="big-integer Algorithm 2, exact 3l+5 cycle accounting",
+        description="closed-form big-int Algorithm 2, exact 3l+5 cycle accounting",
         max_bits=None,
         cycle_accurate=True,
         simulator=False,
@@ -236,7 +238,7 @@ class CRTBackend(ModExpBackend):
 
     name = "crt-rsa"
     capabilities = BackendCapabilities(
-        description="two half-width golden exponentiations + Garner",
+        description="two half-width closed-form exponentiations + Garner",
         max_bits=None,
         cycle_accurate=True,
         simulator=False,

@@ -149,7 +149,9 @@ class ModExpService:
         ``workers > 1``, else ``"inline"``.
     queue_limit:
         Bounded in-flight window in requests (default 4 inline,
-        ``32 × workers`` on shards).
+        ``max_batch × workers`` on shards: room for one full batch per
+        shard, so batches homed on one shard cannot fill the window while
+        another shard idles).
     max_batch:
         Coalescing chunk size and the serve loop's flush threshold.
     default_timeout:
@@ -259,7 +261,9 @@ class ModExpService:
             self.pool = ShardPool(
                 shards=workers,
                 backend=self.backend.name,
-                queue_limit=queue_limit,
+                queue_limit=(
+                    queue_limit if queue_limit is not None else max_batch * workers
+                ),
                 chaos=self.chaos,
                 health=health,
             )

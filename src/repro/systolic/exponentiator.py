@@ -9,10 +9,15 @@ multiplications to an engine:
   netlist twin (:class:`~repro.systolic.mmmc_netlist.GateLevelMMMC`) on
   the compiled kernel engine; cycles are measured at the netlist level
   and provably equal the behavioral RTL count.
-* ``engine="golden"`` — multiplications use the big-integer Algorithm 2
-  while cycle accounting uses the RTL cost (``3l+4`` per operation, which
-  the test suite proves identical to the measured RTL count).  This makes
-  RSA-scale benchmarks tractable without changing any reported number.
+* ``engine="golden"`` — multiplications use the closed-form Algorithm 2
+  product ``(x·y + M·N) / R`` of
+  :func:`~repro.montgomery.algorithms.montgomery_no_subtraction` (a few
+  big-integer operations, bit-identical to the bit-serial loop that
+  :func:`~repro.montgomery.algorithms.montgomery_trace` keeps as the
+  digit-by-digit reference), while cycle accounting uses the RTL cost
+  (``3l+4`` per operation, ``3l+5`` corrected, which the test suite
+  proves identical to the measured RTL count).  This makes RSA-scale
+  exponentiation fast without changing any reported number.
 
 The operation sequence is exactly the paper's: pre-multiplication by
 ``R² mod N`` (into the Montgomery domain), the left-to-right binary scan,
@@ -123,6 +128,12 @@ class ModularExponentiator:
         return cls(precompute_montgomery_constants(modulus, l), engine, mode=mode)
 
     # ------------------------------------------------------------------
+    def _op_cycles(self) -> int:
+        """Modelled cycles of one multiplication in this mode."""
+        if self.mode == "corrected":
+            return mmm_cycles_corrected(self.ctx.l)
+        return mmm_cycles(self.ctx.l)
+
     def _mont(self, kind: str, x: int, y: int, run: ExponentiationRun) -> int:
         n = self.ctx.modulus
         observed = OBS.enabled
@@ -133,11 +144,7 @@ class ModularExponentiator:
             value, cost = rec.result, rec.cycles
         else:
             value = montgomery_no_subtraction(self.ctx, x, y)
-            cost = (
-                mmm_cycles_corrected(self.ctx.l)
-                if self.mode == "corrected"
-                else mmm_cycles(self.ctx.l)
-            )
+            cost = self._op_cycles()
             if observed:
                 # The golden engine skips the RTL, so the trace clock
                 # advances by the modelled cost in one jump.
@@ -213,7 +220,9 @@ class ModularExponentiator:
         Builds the :mod:`repro.montgomery.windowed` schedule and executes
         it with this exponentiator's multiplier (cycle-accurate when the
         engine is ``"rtl"``), trading a precomputed power table for fewer
-        multiplier passes; see the window ablation benchmark.
+        multiplier passes; see the window ablation benchmark.  The cycle
+        total is checked against the per-operation cost times the number
+        of multiplier passes.
         """
         from repro.montgomery.windowed import (
             binary_schedule,
@@ -249,4 +258,9 @@ class ModularExponentiator:
             OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)
+        expected = run.num_multiplications * self._op_cycles()
+        if run.cycles != expected:
+            raise AssertionError(
+                f"measured {run.cycles} cycles, cost model says {expected}"
+            )
         return run

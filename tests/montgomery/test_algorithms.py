@@ -1,9 +1,12 @@
 """Unit + property tests for Algorithms 1 and 2."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.montgomery.algorithms import (
     montgomery_no_subtraction,
     montgomery_reduce,
@@ -124,6 +127,86 @@ class TestTrace:
             assert total % 2 == 0, "m_i must make the sum even"
             assert s.t_after == total // 2
             prev = s.t_after
+
+
+@st.composite
+def _wide_context_and_operands(draw):
+    """(ctx, x, y): N of 2..1100 bits, l up to 8 bits wider than N, and
+    operands from the window's edges or anywhere in [0, 2N)."""
+    bits = draw(st.integers(2, 1100))
+    n = (1 << (bits - 1)) | draw(st.integers(0, (1 << (bits - 1)) - 1)) | 1
+    ctx = MontgomeryContext(n, l=bits + draw(st.integers(0, 8)))
+    operand = st.one_of(
+        st.sampled_from([0, 1, n - 1, n, n + 1, 2 * n - 1]),
+        st.integers(0, 2 * n - 1),
+    )
+    return ctx, draw(operand), draw(operand)
+
+
+class TestClosedFormEqualsLoop:
+    """The closed-form product is bit-identical to the printed loop."""
+
+    @given(_wide_context_and_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bit_serial_loop(self, cxy):
+        ctx, x, y = cxy
+        assert montgomery_no_subtraction(ctx, x, y) == montgomery_trace(ctx, x, y)[0]
+
+    def test_every_edge_pair_on_small_moduli(self):
+        for n in (3, 5, 11, 197, (1 << 31) - 1):
+            for l in (n.bit_length(), n.bit_length() + 3):
+                ctx = MontgomeryContext(n, l=l)
+                edges = (0, 1, n - 1, n, n + 1, 2 * n - 1)
+                for x in edges:
+                    for y in edges:
+                        assert (
+                            montgomery_no_subtraction(ctx, x, y)
+                            == montgomery_trace(ctx, x, y)[0]
+                        )
+
+    @pytest.mark.parametrize("product", [montgomery_no_subtraction, montgomery_trace])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-1, "{}=-1 outside Algorithm 2 window [0, 22)"),
+            (22, "{}=22 outside Algorithm 2 window [0, 22)"),
+            (True, "{} must be an int"),
+            (1.0, "{} must be an int"),
+        ],
+    )
+    def test_operand_rejections(self, product, name, value, message):
+        operands = {"x": 1, "y": 1, name: value}
+        expected = f"^{re.escape(message.format(name))}$"
+        with pytest.raises(ParameterError, match=expected):
+            product(MontgomeryContext(11), operands["x"], operands["y"])
+
+    @pytest.mark.parametrize("product", [montgomery_no_subtraction, montgomery_trace])
+    def test_word_base_rejection(self, product):
+        ctx = MontgomeryContext(11, word_bits=2)
+        message = (
+            "Algorithm 2 is the radix-2 algorithm; use repro.montgomery.radix "
+            "for word_bits=2"
+        )
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            product(ctx, 1, 1)
+
+    @pytest.mark.parametrize("product", [montgomery_no_subtraction, montgomery_trace])
+    def test_walter_bound_violation_is_caught(self, product):
+        """A context whose R is too small for N (R = 2^(l+1) < 4N) lets the
+        output leave [0, 2N); both paths report it instead of returning."""
+        n = 251
+        ctx = MontgomeryContext(n)
+        r_exp = n.bit_length() + 1
+        for name, value in (
+            ("r_exponent", r_exp),
+            ("R", 1 << r_exp),
+            ("r_mask", (1 << r_exp) - 1),
+            ("n_neg_inv_r", (-pow(n, -1, 1 << r_exp)) % (1 << r_exp)),
+        ):
+            object.__setattr__(ctx, name, value)
+        with pytest.raises(SimulationError, match="Walter bound violated"):
+            product(ctx, 2 * n - 1, 2 * n - 1)
 
 
 class TestMontgomeryReduce:

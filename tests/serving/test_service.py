@@ -216,6 +216,15 @@ class TestBackpressure:
             results = svc.process(requests, on_full="wait")
         assert all(r.ok for r in results)
 
+    @pytest.mark.parametrize("max_batch, window", [(32, 64), (64, 128), (8, 16)])
+    def test_default_shard_window_holds_one_full_batch_per_shard(
+        self, max_batch, window
+    ):
+        with ModExpService(workers=2, max_batch=max_batch) as svc:
+            assert svc.pool.queue_limit == window
+        with ModExpService(workers=2, max_batch=max_batch, queue_limit=5) as svc:
+            assert svc.pool.queue_limit == 5
+
     def test_bad_on_full_value_rejected(self):
         with ModExpService(worker_kind="inline") as svc:
             with pytest.raises(ParameterError, match="on_full"):

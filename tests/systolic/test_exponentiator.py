@@ -1,12 +1,16 @@
 """Tests for the modular exponentiator (Section 4.5)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.montgomery.exponent import montgomery_modexp
 from repro.montgomery.params import MontgomeryContext
 from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.mmmc import MMMC
 from repro.systolic.timing import (
     exponentiation_cycle_bounds,
     exponentiation_cycles_measured_model,
@@ -42,6 +46,45 @@ class TestCorrectness:
         exp = ModularExponentiator(ctx, engine="rtl", mode="paper")
         run = exp.exponentiate(100, 19)
         assert run.result == pow(100, 19, 139)
+
+
+class _RecordingMMMC:
+    """The behavioral MMMC, logging each product's operands and result;
+    ``extra_cycles`` skews the reported cycle count."""
+
+    def __init__(self, l, extra_cycles=0):
+        self.inner = MMMC(l)
+        self.extra_cycles = extra_cycles
+        self.products = []
+
+    def multiply(self, x, y, n):
+        rec = self.inner.multiply(x, y, n)
+        self.products.append((x, y, rec.result))
+        return dataclasses.replace(rec, cycles=rec.cycles + self.extra_cycles)
+
+
+class TestEveryIntermediateProduct:
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1).map(
+                lambda n: n | 1
+            )
+        ),
+        st.integers(0),
+        st.integers(1, 1 << 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_golden_trace_equals_rtl_run(self, n, m_raw, e):
+        """The closed-form products of montgomery_modexp equal the RTL's,
+        operation by operation, not only in the final value."""
+        ctx = MontgomeryContext(n)
+        m = m_raw % n
+        value, trace = montgomery_modexp(ctx, m, e)
+        rtl = _RecordingMMMC(ctx.l)
+        run = ModularExponentiator(ctx, engine="rtl", multiplier=rtl).exponentiate(m, e)
+        assert [op.kind for op in trace.operations] == [k for k, _ in run.operations]
+        assert [(op.x, op.y, op.result) for op in trace.operations] == rtl.products
+        assert run.result == value == pow(m, e, n)
 
 
 class TestCycleAccounting:
@@ -108,6 +151,14 @@ class TestWindowedThroughEngine:
             )
         with pytest.raises(ParameterError):
             exp.exponentiate_windowed(7, 3, method="psychic")
+
+    @pytest.mark.parametrize("method", ["binary", "mary", "sliding"])
+    def test_wrong_per_op_cost_trips_the_check(self, method):
+        ctx = MontgomeryContext(197)
+        skewed = _RecordingMMMC(ctx.l, extra_cycles=1)
+        exp = ModularExponentiator(ctx, engine="rtl", multiplier=skewed)
+        with pytest.raises(AssertionError, match="cost model says"):
+            exp.exponentiate_windowed(7, 0xBEEF, window=3, method=method)
 
     def test_cycles_accounted_per_pass(self):
         from repro.systolic.timing import mmm_cycles_corrected
