@@ -1857,7 +1857,7 @@ def _render_top_frame(url: str, text: str) -> str:
         )
     )
     lines.append(
-        "lane fill  mean={} p50={} of 64 (wasted lane-cycles={:.0f})".format(
+        "lane fill  mean={} p50={} (wasted lane-cycles={:.0f})".format(
             fmt(mean("hdl_lane_fill"), 1),
             fmt(pctl("hdl_lane_fill", 50)),
             total("hdl_wasted_lane_cycles_total"),

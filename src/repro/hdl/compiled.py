@@ -656,6 +656,10 @@ def clear_kernel_cache() -> None:
 # ----------------------------------------------------------------------
 # Lane packing helpers
 # ----------------------------------------------------------------------
+# Both directions are one bit-matrix transpose done in C: every row is
+# formatted as a fixed-width binary string (most significant bit first),
+# the rows are concatenated, and each column is a strided slice of that
+# string, parsed back with ``int(..., 2)``.  No Python loop touches a bit.
 def pack_lanes(values: Sequence[int], width: int) -> List[int]:
     """Bit-slice per-lane integers into per-wire lane words.
 
@@ -663,31 +667,31 @@ def pack_lanes(values: Sequence[int], width: int) -> List[int]:
     ``i`` holds bit ``i`` of every lane, lane k in bit position k —
     exactly the layout a ``width``-wide bus of packed wires uses.
     """
-    words = [0] * width
-    for k, val in enumerate(values):
-        if val < 0 or (width < val.bit_length()):
-            raise SimulationError(
-                f"lane {k} value {val} does not fit bus of width {width}"
-            )
-        i = 0
-        while val:
-            if val & 1:
-                words[i] |= 1 << k
-            val >>= 1
-            i += 1
-    return words
+    if values and (min(values) < 0 or max(values) >> width):
+        for k, val in enumerate(values):
+            if val < 0 or (width < val.bit_length()):
+                raise SimulationError(
+                    f"lane {k} value {val} does not fit bus of width {width}"
+                )
+    if not values or not width:
+        return [0] * width
+    # The last lane's row comes first, so lane k lands in bit k of a column.
+    fmt = f"0{width}b"
+    rows = "".join([format(val, fmt) for val in reversed(values)])
+    return [int(rows[width - 1 - i :: width], 2) for i in range(width)]
 
 
 def unpack_lanes(words: Sequence[int], lanes: int) -> List[int]:
-    """Inverse of :func:`pack_lanes`: recover each lane's integer value."""
-    out = []
-    for k in range(lanes):
-        acc = 0
-        for i, w in enumerate(words):
-            if (w >> k) & 1:
-                acc |= 1 << i
-        out.append(acc)
-    return out
+    """Inverse of :func:`pack_lanes`: recover each lane's integer value.
+
+    Word bits at positions ``>= lanes`` are ignored.
+    """
+    if not words or lanes <= 0:
+        return [0] * max(lanes, 0)
+    mask = (1 << lanes) - 1
+    fmt = f"0{lanes}b"
+    rows = "".join([format(w & mask, fmt) for w in reversed(words)])
+    return [int(rows[lanes - 1 - k :: lanes], 2) for k in range(lanes)]
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultDetected, ParameterError
 from repro.montgomery.params import (
@@ -283,31 +283,44 @@ class _NetlistBackend(ModExpBackend):
     """Shared machinery of the two netlist-simulation backends.
 
     Each operand width gets one elaborated :class:`GateLevelMMMC`, reused
-    across requests — a scalar instance for :meth:`execute` and a K-lane
-    instance for the bit-sliced :meth:`execute_many` path.  Both run the
-    compiled kernel engine and share one codegen'd kernel through the
-    structural-key cache (lane count is bound per simulator, not per
-    kernel).  The simulators are stateful, so a lock keeps concurrent
-    callers from interleaving multiplications on one instance.
+    across requests — a scalar instance for :meth:`execute` and one
+    instance per lane word (:meth:`sweep_lanes`) for the bit-sliced
+    :meth:`execute_many` path.  All run the compiled kernel engine and
+    share one codegen'd kernel through the structural-key cache (lane
+    count is bound per simulator, not per kernel).  The simulators are
+    stateful, so a lock keeps concurrent callers from interleaving
+    multiplications on one instance.
     """
 
     #: netlist simulator engine for the cached instances
     simulator = "compiled"
+    #: lane word of a group of at most this many requests; larger groups
+    #: sweep on the full ``capabilities.lanes`` word
+    short_lanes = 64
 
     def __init__(self) -> None:
         import threading
 
         self._scalar: Dict[int, object] = {}
-        self._vector: Dict[int, object] = {}
+        self._vector: Dict[Tuple[int, int], object] = {}
         self._lock = threading.Lock()
 
+    def sweep_lanes(self, k: int) -> int:
+        """Width of the lane word a ``k``-request group sweeps on.
+
+        A 256-lane sweep costs 1.06-1.18x a 64-lane one
+        (docs/SIMULATION.md), so a group that fits 64 lanes does not pay
+        for the wide word.
+        """
+        return self.short_lanes if k <= self.short_lanes else self.capabilities.lanes
+
     def _mmmc(self, l: int, lanes: int = 1):
-        cache = self._scalar if lanes <= 1 else self._vector
-        inst = cache.get(l)
+        cache, key = (self._scalar, l) if lanes <= 1 else (self._vector, (l, lanes))
+        inst = cache.get(key)
         if inst is None:
             from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-            inst = cache[l] = GateLevelMMMC(
+            inst = cache[key] = GateLevelMMMC(
                 l, simulator=self.simulator, lanes=max(lanes, 1)
             )
         return inst
@@ -323,8 +336,8 @@ class _NetlistBackend(ModExpBackend):
         """
         n = ctx.modulus
         exponent = requests[0].exponent
-        gate = self._mmmc(ctx.l, self.capabilities.lanes)
         k = len(requests)
+        gate = self._mmmc(ctx.l, self.sweep_lanes(k))
         ns = [n] * k
         cycles = 0
 
@@ -424,7 +437,10 @@ class RTLBackend(_NetlistBackend):
     measured-vs-model cycle cross-check — over the gate-level netlist
     twin on compiled kernels by default (``engine="gate"``), which the
     equivalence suite proves cycle- and bit-identical to the behavioral
-    model.  ``engine="rtl"`` falls back to the behavioral
+    model.  Same-exponent groups of up to 256 requests run as one
+    bit-sliced sweep per multiplication (:meth:`execute_many`): 64 lanes
+    wide for up to 64 requests, 256 wide above that.
+    ``engine="rtl"`` falls back to the behavioral
     :class:`~repro.systolic.mmmc.MMMC` (needed e.g. for controller state
     traces, which the netlist twin does not log).
     """
@@ -435,7 +451,7 @@ class RTLBackend(_NetlistBackend):
         max_bits=64,
         cycle_accurate=True,
         simulator=True,
-        lanes=64,
+        lanes=256,
     )
     wall_weight = 200.0
 
@@ -479,9 +495,10 @@ class GateLevelBackend(_NetlistBackend):
 
     The most faithful tier — every AND gate of every cell is evaluated —
     so the width ceiling stays tiny even though the compiled kernel
-    engine (the default) recovers most of the interpreter overhead.
-    ``simulator="interpreted"`` is the pre-codegen path, kept for
-    differential debugging.
+    engine (the default) recovers most of the interpreter overhead and
+    runs same-exponent groups of up to 256 requests as one 64- or
+    256-lane sweep.  ``simulator="interpreted"`` is the pre-codegen
+    path, kept for differential debugging (scalar only).
     """
 
     name = "gate"
@@ -490,7 +507,7 @@ class GateLevelBackend(_NetlistBackend):
         max_bits=10,
         cycle_accurate=True,
         simulator=True,
-        lanes=64,
+        lanes=256,
     )
     # Compiled kernels brought the per-cycle wall cost down ~7x from the
     # interpreted simulator's 20000x; still far above the big-int paths.

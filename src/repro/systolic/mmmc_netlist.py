@@ -325,12 +325,6 @@ class GateLevelMMMC:
             if not 0 <= v < 2 * n:
                 raise ParameterError(f"{nm}={v} outside [0, 2N) for N={n}")
 
-    def _in_mul(self) -> bool:
-        # Direct value-array read (both engines expose .values and keep the
-        # watched state bits there); MUL1=01 / MUL2=10 means s0 XOR s1.
-        vals = self.sim.values
-        return bool((vals[self._s0_i] ^ vals[self._s1_i]) & 1)
-
     def _sample_occupancy(self, mul_cycle: int) -> None:
         """Record array occupancy for one executed MUL cycle.
 
@@ -481,7 +475,8 @@ class GateLevelMMMC:
         mul_cycles = 0
         limit = 4 * self.l + 16
         vals = sim.values
-        carry_i, c1_i = core.overflow_carry.index, core.overflow_c1.index
+        s0_i, s1_i, c1_i = self._s0_i, self._s1_i, self._c1_i
+        carry_i, done_i = self._carry_i, self._done_i
         pending = self._take_pending_fault()
         # Decode/extraction follows the faulting lane when a fault is armed.
         lane_hint = pending[2] if pending is not None and pending[2] is not None else 0
@@ -491,7 +486,8 @@ class GateLevelMMMC:
             # multiply(xs[k], ys[k], ns[k]) on a scalar instance.
             rec.meta.update(xs=xs[:used], ys=ys[:used], ns=ns[:used])
         while cycles < limit:
-            in_mul = self._in_mul()
+            # MUL1=01 / MUL2=10 means s0 XOR s1 (pre-edge state bits).
+            in_mul = (vals[s0_i] ^ vals[s1_i]) & 1
             c1_word = vals[c1_i] if in_mul else 0  # pre-edge C1 lanes
             sim.step()
             if pending is not None and cycles == pending[0]:
@@ -505,7 +501,7 @@ class GateLevelMMMC:
                 pending = None
             if rec is not None and rec.wants_sample(cycles):
                 rec.sample(cycles, sampler())
-            if in_mul and c1_word and core.productive(mul_cycles):
+            if c1_word and core.productive(mul_cycles):
                 over = vals[carry_i] & c1_word
                 if over:
                     bad = [k for k in range(used) if (over >> k) & 1]
@@ -522,7 +518,7 @@ class GateLevelMMMC:
                         raise SimulationError(
                             f"lanes {bad}: " + core.overflow_message(mul_cycles)
                         )
-            done = sim.peek(p.done)
+            done = vals[done_i] & 1
             cycles += 1
             if in_mul:
                 if observed:

@@ -18,7 +18,8 @@ from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import GateLevelBackend
 from repro.utils.rng import random_odd_modulus
 
-LANES = 64
+# Every lane group below fits the short lane word, so every sweep is this wide.
+LANES = GateLevelBackend().sweep_lanes(1)
 
 
 def _mixed_requests(rng, moduli, exponents, count):
@@ -54,9 +55,9 @@ class TestBackendLaneFill:
 
         fill = registry.histogram("hdl.lane_fill").aggregate()
         assert fill.min == fill.max == 4
-        # every sweep recorded exactly one fill sample, labelled lanes=64
+        # every sweep recorded exactly one fill sample, labelled lanes=LANES
         assert registry.histogram("hdl.lane_fill").aggregate(lanes=LANES).count == fill.count
-        # each MMM sweep wastes (64-4) lanes; totals must match exactly
+        # each MMM sweep wastes (LANES-4) lanes; totals must match exactly
         sweeps = registry.counter("hdl.lanes_packed").total() / 4
         wasted = registry.counter("hdl.wasted_lane_cycles").total()
         assert sweeps == fill.count

@@ -1,16 +1,17 @@
 """Bit-sliced lane batching through the serving layer.
 
 Coalesced batches of same-modulus, same-exponent requests ride one
-64-lane compiled simulator sweep instead of 64 scalar simulations; mixed
-exponents and short batches degrade gracefully to scalar dispatch.  The
-wire format, result ordering and SLO inputs must be indistinguishable
-from scalar execution.
+64- or 256-lane compiled simulator sweep instead of one scalar
+simulation per request; mixed exponents and short batches degrade
+gracefully to scalar dispatch.  The wire format, result ordering and
+SLO inputs must be indistinguishable from scalar execution.
 """
 
 import random
 
 import pytest
 
+from repro.hdl.compiled import clear_kernel_cache
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, observe
 from repro.serving import ModExpRequest, ModExpService
@@ -34,7 +35,7 @@ class TestBackendLanes:
     def test_rtl_defaults_to_compiled_gate_twin(self):
         backend = RTLBackend()
         assert backend.engine == "gate"
-        assert backend.capabilities.lanes == 64
+        assert backend.capabilities.lanes == 256
         assert "compiled" in backend.capabilities.description
 
     def test_rtl_behavioral_fallback_is_scalar(self):
@@ -64,6 +65,32 @@ class TestBackendLanes:
             assert res.value == pow(req.base, req.exponent, n)
             assert res.cycles is not None and res.cycles > 0
         assert registry.counter("hdl.lanes_packed").total() > 0
+
+    def test_sweep_width_follows_group_size(self):
+        """A group of up to 64 sweeps on the 64-lane word, a larger one on
+        the full word; both words share one compiled kernel."""
+        backend = GateLevelBackend()
+        full = backend.capabilities.lanes
+        assert [backend.sweep_lanes(k) for k in (2, 64, 65, full)] == [64, 64, full, full]
+        rng = random.Random("lanes-width")
+        n = random_odd_modulus(9, rng)
+        ctx = precompute_montgomery_constants(n)
+        reqs = _requests(rng, n, 64, exponent=19) + _requests(rng, n, 65, exponent=23)
+        clear_kernel_cache()
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            results = backend.execute_many(ctx, reqs)
+        for req, res in zip(reqs, results):
+            assert res.value == pow(req.base, req.exponent, n)
+        fill = registry.histogram("hdl.lane_fill")
+        narrow, wide = fill.aggregate(lanes=64), fill.aggregate(lanes=full)
+        assert narrow.min == narrow.max == 64
+        assert wide.min == wide.max == 65
+        assert narrow.count + wide.count == fill.aggregate().count
+        cycles = 3 * 9 + 5  # corrected-mode gate netlist at l=9
+        wasted = registry.counter("hdl.wasted_lane_cycles").total()
+        assert wasted == (full - 65) * cycles * wide.count
+        assert registry.counter("hdl.compile_cache_misses").total() == 1
 
     def test_execute_many_singletons_take_the_scalar_path(self):
         rng = random.Random("lanes-single")

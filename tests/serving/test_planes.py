@@ -15,8 +15,10 @@ import pytest
 from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
 from repro.serving import ModExpRequest, ModExpService
+from repro.serving.backends import GateLevelBackend
 from repro.utils.rng import random_odd_modulus
 
+LANES = GateLevelBackend.capabilities.lanes
 STATUSES = ("accepted", "completed", "failed", "timeout", "rejected")
 
 
@@ -39,7 +41,7 @@ def _gate_workload():
     n = random_odd_modulus(10, rng)
     return [
         ModExpRequest(rng.randrange(n), 257, n, request_id=f"g{i}")
-        for i in range(64)
+        for i in range(LANES)
     ]
 
 
@@ -86,11 +88,11 @@ class TestPlaneEquivalence:
 
     def test_gate_with_full_lane_packing(self):
         requests = _gate_workload()
-        inline, shard = _assert_planes_agree(requests, backend="gate", max_batch=64)
+        inline, shard = _assert_planes_agree(requests, backend="gate", max_batch=LANES)
         assert [value for _, value, _, _ in inline[0]] == [r.expected() for r in requests]
         for _, _, registry in (inline, shard):
             sizes = registry.histogram("serving.lane_group_size").aggregate()
-            assert sizes.count == 1 and sizes.max == 64  # one full 64-lane sweep
+            assert sizes.count == 1 and sizes.max == LANES  # one full lane sweep
 
     @pytest.mark.parametrize("max_attempts", [2, 5])
     def test_integer_under_chaos_bitflips_with_verify_and_retries(self, max_attempts):
