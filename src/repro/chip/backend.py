@@ -154,12 +154,17 @@ class ChipBackend(ModExpBackend):
         return chip
 
     def execute(self, ctx: MontgomeryContext, request: ModExpRequest) -> BackendResult:
-        return self.execute_many(ctx, [request])[0]
+        return self.execute_many([ctx], [request])[0]
 
     def execute_many(
-        self, ctx: MontgomeryContext, requests: List[ModExpRequest]
+        self, contexts: List[MontgomeryContext], requests: List[ModExpRequest]
     ) -> List[BackendResult]:
         """Drive every request's chain through the chip concurrently.
+
+        Every request must share one Montgomery context: the tiles'
+        arrays are set up for one modulus, so the scheduler batches the
+        chip by ``(modulus, l)``.  Two distinct moduli (or widths) raise
+        :class:`~repro.errors.ParameterError`.
 
         Deadline-aware drain: simulating a chip is expensive wall-clock
         work, so when *every* chain still in flight carries an absolute
@@ -172,6 +177,13 @@ class ChipBackend(ModExpBackend):
         """
         if not requests:
             return []
+        ctx = contexts[0]
+        for other in contexts[1:]:
+            if (other.modulus, other.l) != (ctx.modulus, ctx.l):
+                raise ParameterError(
+                    "chip execute_many serves one (modulus, l) per call; got "
+                    f"{(ctx.modulus, ctx.l)} and {(other.modulus, other.l)}"
+                )
 
         def _all_expired(indices) -> bool:
             now = time.monotonic()

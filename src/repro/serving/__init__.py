@@ -11,15 +11,16 @@ single-shot engines into a multi-worker modular-exponentiation service.
   capability declarations, cost models and the registry wrapping every
   engine in the repo (integer fast path, CRT-RSA, systolic RTL,
   gate-level netlist, high-radix, Tenca–Koç scalable).
-* :mod:`repro.serving.scheduler` — per-modulus batch coalescing (one
-  Montgomery pre-computation per batch) and deadline/cost dispatch
-  ordering.
+* :mod:`repro.serving.scheduler` — batch coalescing by batch key
+  (``(modulus, l)``, or the operand width for the lock-step lane
+  backends; one Montgomery pre-computation per distinct ``(modulus, l)``)
+  and deadline/cost dispatch ordering.
 * :mod:`repro.serving.pool` — :func:`execute_batch`, the one batch
   executor both planes run, the inline plane (:class:`InlinePool`,
   batches on the caller's thread) and the shared :class:`SlotWindow`
   in-flight accounting with explicit ``QueueFull`` backpressure.
 * :mod:`repro.serving.shard` — the sharded data plane: consistent-hash
-  placement of ``(modulus, l)`` onto pre-forked warm workers, coalesced
+  placement of batch keys onto pre-forked warm workers, coalesced
   batches crossing per-shard pipes as single binary frames, shard death
   → respawn → exactly-once requeue.
 * :mod:`repro.serving.service` — the :class:`ModExpService` facade the

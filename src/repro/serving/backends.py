@@ -9,10 +9,10 @@ as interchangeable :class:`ModExpBackend` implementations, each declaring
 counts are measured or modelled, whether it is safe to ship to process
 workers) and a cost model the batch scheduler orders dispatch by.
 
-All backends receive the batch's pre-computed
-:class:`~repro.montgomery.params.MontgomeryContext`, so the Montgomery
-constants are derived once per distinct modulus per batch, never per
-request (see :mod:`repro.serving.scheduler`).
+All backends receive each request's pre-computed
+:class:`~repro.montgomery.params.MontgomeryContext`, derived once per
+distinct ``(modulus, l)`` per coalescing round, never per request (see
+:mod:`repro.serving.scheduler`).
 
 The :func:`default_registry` registers everything under its canonical
 name; worker processes re-resolve backends by name through it, so only
@@ -70,15 +70,19 @@ class BackendCapabilities:
     lanes:
         Bit-sliced lane width (``1`` = scalar only).  When greater than 1
         the service hands :meth:`ModExpBackend.execute_many` whole groups
-        of same-modulus, same-exponent requests, which the backend packs
-        as bit-slices of one netlist sweep (see
+        of same-exponent requests of one operand width, possibly under
+        several moduli, which the backend packs as bit-slices of one
+        netlist sweep with ``N`` loaded per lane (see
         :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_lanes`).
+        Such a backend's batches are cut by width, not by modulus (see
+        :func:`repro.serving.scheduler.batch_key`).
     mixed_exponent_lanes:
         True when ``execute_many`` groups need *not* share an exponent.
         Bit-sliced sweeps advance every lane in lock-step, so they demand
         a common square-and-multiply schedule; the chip backend instead
-        interleaves independent multiplication chains, so the service may
-        pack any same-modulus requests of one batch into a group.
+        interleaves independent multiplication chains over one modulus,
+        so the service batches it by ``(modulus, l)`` and may pack any
+        requests of one batch into a group.
     """
 
     description: str
@@ -148,20 +152,23 @@ class ModExpBackend(ABC):
     def execute(
         self, ctx: MontgomeryContext, request: ModExpRequest
     ) -> BackendResult:
-        """Run the exponentiation with the batch's shared constants."""
+        """Run the exponentiation with the request's constants ``ctx``."""
 
     def execute_many(
-        self, ctx: MontgomeryContext, requests: List[ModExpRequest]
+        self, contexts: List[MontgomeryContext], requests: List[ModExpRequest]
     ) -> List[BackendResult]:
-        """Run several requests sharing ``ctx``; results in input order.
+        """Run several requests; ``contexts[i]`` is ``requests[i]``'s context.
 
         The service calls this (instead of per-request :meth:`execute`
         tasks) for backends declaring ``capabilities.lanes > 1``, passing
-        same-modulus groups from one coalesced batch.  The default runs
-        them sequentially; lane-capable backends override it to pack
-        same-exponent requests into one bit-sliced sweep.
+        one lane group of one coalesced batch: requests sharing the
+        batch key (:func:`repro.serving.scheduler.batch_key`), so one
+        ``(modulus, l)`` for most backends and one operand width for the
+        lock-step lane backends.  The default runs them sequentially;
+        lane-capable backends override it to pack same-exponent requests
+        into one bit-sliced sweep.  Results come back in input order.
         """
-        return [self.execute(ctx, request) for request in requests]
+        return [self.execute(ctx, request) for ctx, request in zip(contexts, requests)]
 
 
 def _square_multiply(
@@ -326,26 +333,30 @@ class _NetlistBackend(ModExpBackend):
         return inst
 
     def _execute_lanes(
-        self, ctx: MontgomeryContext, requests: List[ModExpRequest]
+        self, contexts: List[MontgomeryContext], requests: List[ModExpRequest]
     ) -> List[BackendResult]:
         """One square-and-multiply schedule, K bases as bit-sliced lanes.
 
+        Lane ``k`` runs ``requests[k]`` under its own ``contexts[k]``:
+        the netlist loads ``N`` per lane, and the ``R² mod N`` operand,
+        the Walter bound and the final reduction are per lane too.
         Caller holds ``self._lock`` and guarantees every request shares
-        ``ctx`` and the exponent (the lanes advance in lock-step, so the
-        multiplication schedule must be common).
+        the exponent and ``l`` (the lanes advance in lock-step through
+        one ``l``-bit array, so the multiplication schedule must be
+        common).
         """
-        n = ctx.modulus
+        l = contexts[0].l
+        assert all(ctx.l == l for ctx in contexts), "a lane sweep needs one l"
+        ns = [ctx.modulus for ctx in contexts]
         exponent = requests[0].exponent
-        k = len(requests)
-        gate = self._mmmc(ctx.l, self.sweep_lanes(k))
-        ns = [n] * k
+        gate = self._mmmc(l, self.sweep_lanes(len(requests)))
         cycles = 0
 
         def mont(xs: List[int], ys: List[int]) -> List[int]:
             nonlocal cycles
             runs = gate.multiply_lanes(xs, ys, ns)
             cycles += runs[0].cycles  # lock-step: every lane pays the same
-            for k, r in enumerate(runs):
+            for k, (r, n) in enumerate(zip(runs, ns)):
                 if not walter_bound_ok(r.result, n):
                     raise FaultDetected(
                         f"lane {k}: Montgomery product {r.result} outside "
@@ -354,14 +365,14 @@ class _NetlistBackend(ModExpBackend):
                     )
             return [r.result for r in runs]
 
-        m_bar = mont([r.base for r in requests], [ctx.r2_mod_n] * k)
+        m_bar = mont([r.base for r in requests], [ctx.r2_mod_n for ctx in contexts])
         a = m_bar
         for i in reversed(range(exponent.bit_length() - 1)):
             a = mont(a, a)
             if (exponent >> i) & 1:
                 a = mont(a, m_bar)
-        a = mont(a, [1] * k)
-        return [BackendResult(v % n, cycles) for v in a]
+        a = mont(a, [1] * len(requests))
+        return [BackendResult(v % n, cycles) for v, n in zip(a, ns)]
 
     def execute_with_register_fault(self, ctx, request, rng):
         """Chaos hook: one seeded register bit flip mid-exponentiation.
@@ -409,7 +420,7 @@ class _NetlistBackend(ModExpBackend):
             )
         return BackendResult(value % n, cycles)
 
-    def execute_many(self, ctx, requests):
+    def execute_many(self, contexts, requests):
         lanes = max(self.capabilities.lanes, 1)
         results: List[Optional[BackendResult]] = [None] * len(requests)
         groups: Dict[int, List[int]] = {}
@@ -419,11 +430,13 @@ class _NetlistBackend(ModExpBackend):
             for lo in range(0, len(members), lanes):
                 chunk = members[lo : lo + lanes]
                 if len(chunk) == 1:
-                    results[chunk[0]] = self.execute(ctx, requests[chunk[0]])
+                    i = chunk[0]
+                    results[i] = self.execute(contexts[i], requests[i])
                 else:
                     with self._lock:
                         outs = self._execute_lanes(
-                            ctx, [requests[i] for i in chunk]
+                            [contexts[i] for i in chunk],
+                            [requests[i] for i in chunk],
                         )
                     for i, out in zip(chunk, outs):
                         results[i] = out
@@ -437,9 +450,10 @@ class RTLBackend(_NetlistBackend):
     measured-vs-model cycle cross-check — over the gate-level netlist
     twin on compiled kernels by default (``engine="gate"``), which the
     equivalence suite proves cycle- and bit-identical to the behavioral
-    model.  Same-exponent groups of up to 256 requests run as one
-    bit-sliced sweep per multiplication (:meth:`execute_many`): 64 lanes
-    wide for up to 64 requests, 256 wide above that.
+    model.  Same-exponent groups of up to 256 requests of one width, under
+    any mix of moduli, run as one bit-sliced sweep per multiplication
+    (:meth:`execute_many`): 64 lanes wide for up to 64 requests, 256 wide
+    above that.
     ``engine="rtl"`` falls back to the behavioral
     :class:`~repro.systolic.mmmc.MMMC` (needed e.g. for controller state
     traces, which the netlist twin does not log).

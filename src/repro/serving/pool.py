@@ -1,8 +1,8 @@
 """The batch executor both serving planes share, and the inline plane.
 
 The service runs on one of two planes.  The **shard** plane
-(:mod:`repro.serving.shard`) ships each coalesced batch to a warm,
-modulus-homed worker process; the **inline** plane (:class:`InlinePool`)
+(:mod:`repro.serving.shard`) ships each coalesced batch to a warm
+worker process homed by its batch key; the **inline** plane (:class:`InlinePool`)
 runs it on the caller's thread.  Either way the batch goes through one
 function, :func:`execute_batch`: the pre-execute deadline check, lane
 grouping, the chaos-aware backend call, one result row per request.  The
@@ -146,7 +146,7 @@ def execute_with_chaos(
     allow_kill: bool,
     arm_flightrec: bool = False,
 ):
-    """Run one backend execution under the (possibly inactive) fault plan.
+    """Run one request, with its own ``ctx``, under the (possibly inactive) fault plan.
 
     Kill / exception / latency faults fire before the backend runs; a
     ``bitflip`` decision lands either as a real register upset inside the
@@ -212,7 +212,7 @@ def error_row(request_id: str, exc: BaseException) -> Dict[str, Any]:
 
 def execute_batch(
     backend: Any,
-    ctx: MontgomeryContext,
+    contexts: Sequence[MontgomeryContext],
     requests: Sequence[ModExpRequest],
     *,
     chaos: Optional[ChaosConfig] = None,
@@ -222,7 +222,8 @@ def execute_batch(
 ) -> List[Dict[str, Any]]:
     """Execute one coalesced batch; one result row per request, in order.
 
-    A request that expired while queued or in transit gets a typed
+    ``contexts[i]`` is the Montgomery context of ``requests[i]``.  A
+    request that expired while queued or in transit gets a typed
     :class:`~repro.errors.DeadlineExceeded` row instead of a modexp
     nobody is waiting for.  Backends declaring ``capabilities.lanes > 1``
     run same-exponent requests as one bit-sliced :meth:`execute_many`
@@ -280,11 +281,19 @@ def execute_batch(
                 if len(group) == 1:
                     outs = [
                         execute_with_chaos(
-                            backend, ctx, requests[group[0]], chaos, attempt, allow_kill
+                            backend,
+                            contexts[group[0]],
+                            requests[group[0]],
+                            chaos,
+                            attempt,
+                            allow_kill,
                         )
                     ]
                 else:
-                    outs = backend.execute_many(ctx, [requests[pos] for pos in group])
+                    outs = backend.execute_many(
+                        [contexts[pos] for pos in group],
+                        [requests[pos] for pos in group],
+                    )
         except BaseException as exc:
             for pos in group:
                 rows[pos] = error_row(requests[pos].request_id, exc)
@@ -424,10 +433,13 @@ class InlinePool(WindowedPool):
         self,
         requests: Sequence[ModExpRequest],
         *,
-        context: MontgomeryContext,
+        contexts: Sequence[MontgomeryContext],
         cheap_mode: bool = False,
     ) -> List[Future]:
-        """Execute one coalesced batch now; one resolved future per request."""
+        """Execute one coalesced batch now; one resolved future per request.
+
+        ``contexts[i]`` is the Montgomery context of ``requests[i]``.
+        """
         if self._closed:
             raise QueueFull("worker pool is shut down")
         if not requests:
@@ -441,7 +453,7 @@ class InlinePool(WindowedPool):
                 )
             backend = self._cheap
         try:
-            rows = execute_batch(backend, context, requests, chaos=self.chaos)
+            rows = execute_batch(backend, contexts, requests, chaos=self.chaos)
         except BaseException:
             self._window.cancel_reservation(len(requests))
             raise

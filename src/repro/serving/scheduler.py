@@ -1,13 +1,23 @@
-"""Batch scheduler: coalesce by modulus, dispatch by deadline and cost.
+"""Batch scheduler: coalesce by batch key, dispatch by deadline and cost.
 
 Montgomery exponentiation pays a fixed pre-computation per modulus —
 ``R``, ``R² mod N`` and ``N'`` (a modular squaring plus an inversion).
 A naive service repeats it for every request; the scheduler instead
-groups pending requests by ``(modulus, l)`` into :class:`Batch` objects,
-derives the constants **once per batch** through the shared
+groups pending requests into :class:`Batch` objects by a **batch key**
+(:func:`batch_key`), derives the constants **once per distinct
+``(modulus, l)``** through the shared
 :func:`~repro.montgomery.params.precompute_montgomery_constants` cache,
-and attaches the resulting context to the batch so workers never touch
+and attaches each request's context to the batch so workers never touch
 the cache at all.
+
+The batch key is the one decision of how far a batch may reach.  Most
+backends take ``(modulus, l)``, so a batch holds one modulus.  The
+lock-step lane backends (``capabilities.lanes > 1`` without
+``mixed_exponent_lanes``: the compiled ``rtl`` and ``gate`` backends)
+take the operand width: their bit-sliced sweep loads ``N`` per lane, the
+way the paper's MMMC loads ``N`` per multiplication, so one sweep serves
+every modulus of one width.  The shard ring homes batches by the same
+key.
 
 Dispatch order is interactive-first, then earliest-deadline-first, ties
 broken by estimated backend cost (cheap batches first, so a long
@@ -23,6 +33,8 @@ Metrics (when observation is enabled):
 * ``serving.coalesced_precomputes`` — one per distinct ``(modulus, l)``
   per coalescing round, i.e. the number of pre-computations actually
   needed (compare with ``serving.requests`` to see the savings);
+* ``serving.coalesce_group_size`` — requests per distinct
+  ``(modulus, l)`` per round;
 * ``serving.scheduler_depth`` — pending-queue gauge;
 * ``serving.requests{status=rejected}`` — bounded-queue rejections.
 """
@@ -30,8 +42,9 @@ Metrics (when observation is enabled):
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 from repro.errors import QueueFull
 from repro.montgomery.params import (
@@ -39,12 +52,31 @@ from repro.montgomery.params import (
     precompute_montgomery_constants,
 )
 from repro.observability import OBS
-from repro.serving.backends import ModExpBackend
+from repro.serving.backends import BackendCapabilities, ModExpBackend
 from repro.serving.request import ModExpRequest
 
-__all__ = ["Batch", "coalesce", "lane_groups", "BatchScheduler"]
+__all__ = ["Batch", "BatchKey", "batch_key", "coalesce", "lane_groups", "BatchScheduler"]
 
 T = TypeVar("T")
+
+#: A batch key: the operand width for lock-step lane backends, else
+#: ``(modulus, l)``.
+BatchKey = Union[int, Tuple[int, int]]
+
+
+def batch_key(capabilities: BackendCapabilities, request: ModExpRequest) -> BatchKey:
+    """The key that decides which requests may share one batch.
+
+    A lock-step lane backend (``lanes > 1``, not ``mixed_exponent_lanes``)
+    sweeps every lane with its own ``N``, so its batches span every
+    modulus of one operand width: the key is ``request.width``.  Every
+    other backend executes one Montgomery context per call (the chip
+    drives one modulus through its tiles), so the key stays
+    ``request.coalesce_key``.
+    """
+    if capabilities.lanes > 1 and not capabilities.mixed_exponent_lanes:
+        return request.width
+    return request.coalesce_key
 
 
 def lane_groups(
@@ -80,18 +112,18 @@ def lane_groups(
 
 @dataclass
 class Batch:
-    """Requests sharing one modulus (hence one set of constants).
+    """Requests sharing one :func:`batch_key`.
 
-    ``context`` is the pre-computed parameter set every request in the
-    batch reuses; ``estimated_cost`` is the backend's cost estimate
-    summed over the batch (the dispatch tie-breaker).
+    ``contexts[i]`` is the pre-computed parameter set of
+    ``requests[i]``; requests of one ``(modulus, l)`` share one context
+    object.  ``estimated_cost`` is the backend's cost estimate summed
+    over the batch (the dispatch tie-breaker).
     """
 
     index: int
-    modulus: int
-    l: int
-    context: MontgomeryContext
+    key: BatchKey
     requests: List[ModExpRequest] = field(default_factory=list)
+    contexts: List[MontgomeryContext] = field(default_factory=list)
     estimated_cost: float = 0.0
 
     @property
@@ -123,37 +155,42 @@ def coalesce(
     max_batch: int = 0,
     start_index: int = 0,
 ) -> List[Batch]:
-    """Group ``requests`` into per-modulus batches, dispatch-ordered.
+    """Group ``requests`` into batches by :func:`batch_key`, dispatch-ordered.
 
     One Montgomery pre-computation happens here per distinct
-    ``(modulus, l)`` key, regardless of how many requests share it.
-    Groups larger than ``max_batch`` (when positive) are split into
-    chunks, which still share the single pre-computed context.  Returned
-    batches are sorted by ``(deadline, estimated_cost)`` and re-indexed
-    from ``start_index``.
+    ``(modulus, l)``, however many requests or batches share it.  Groups
+    larger than ``max_batch`` (when positive) are split into chunks.
+    Returned batches are sorted by ``(deadline, estimated_cost)`` and
+    re-indexed from ``start_index``.
     """
-    groups: Dict[Tuple[int, int], List[ModExpRequest]] = {}
+    caps = backend.capabilities
+    groups: Dict[BatchKey, List[ModExpRequest]] = {}
+    contexts: Dict[Tuple[int, int], MontgomeryContext] = {}
     for request in requests:
-        groups.setdefault(request.coalesce_key, []).append(request)
+        key = request.coalesce_key
+        if key not in contexts:
+            contexts[key] = precompute_montgomery_constants(*key)
+        groups.setdefault(batch_key(caps, request), []).append(request)
+
+    if OBS.enabled:
+        shares = Counter(request.coalesce_key for request in requests)
+        for count in shares.values():
+            OBS.count("serving.coalesced_precomputes")
+            # How much sharing each distinct (modulus, l) key actually
+            # yields on this traffic mix.
+            OBS.record("serving.coalesce_group_size", count)
 
     batches: List[Batch] = []
-    for (modulus, l), members in groups.items():
-        context = precompute_montgomery_constants(modulus, l)
-        if OBS.enabled:
-            OBS.count("serving.coalesced_precomputes")
-            # Pre-chunk group size: how much sharing each distinct
-            # (modulus, l) key actually yields on this traffic mix.
-            OBS.record("serving.coalesce_group_size", len(members))
-        chunk = max_batch if max_batch > 0 else len(members)
-        for lo in range(0, len(members), chunk):
-            part = members[lo : lo + chunk]
+    for key, grouped in groups.items():
+        chunk = max_batch if max_batch > 0 else len(grouped)
+        for lo in range(0, len(grouped), chunk):
+            part = grouped[lo : lo + chunk]
             batches.append(
                 Batch(
                     index=0,  # assigned after sorting
-                    modulus=modulus,
-                    l=l,
-                    context=context,
+                    key=key,
                     requests=part,
+                    contexts=[contexts[r.coalesce_key] for r in part],
                     estimated_cost=sum(backend.estimate_cost(r) for r in part),
                 )
             )

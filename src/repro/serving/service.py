@@ -6,8 +6,10 @@ scripts and the benchmarks.  Lifecycle of one request:
 
 1. **validate** — the backend's capability check turns unservable
    requests into immediate failure results;
-2. **coalesce** — the batch scheduler groups requests by modulus so the
-   Montgomery constants are pre-computed once per batch;
+2. **coalesce** — the batch scheduler groups requests by batch key
+   (``(modulus, l)``, or the operand width for the lock-step lane
+   backends) and pre-computes the Montgomery constants once per distinct
+   ``(modulus, l)``;
 3. **dispatch** — each batch becomes one ``submit_batch`` call on the
    plane's pool; saturation either blocks the submitter
    (``on_full="wait"``, batch mode) or rejects with ``QueueFull``
@@ -21,7 +23,7 @@ Two planes execute batches, both through
 :func:`repro.serving.pool.execute_batch`: the **inline** plane
 (:class:`~repro.serving.pool.InlinePool`) runs it on the caller's
 thread; the **shard** plane (:class:`~repro.serving.shard.ShardPool`)
-ships it to a warm, modulus-homed worker process.
+ships it to a warm worker process homed by the batch key.
 
 Instrumentation goes through the observability layer: wrap calls in
 :func:`repro.observability.observe` and the registry fills with
@@ -124,7 +126,7 @@ class _Entry:
         self.result: Optional[ModExpResult] = None
         self.submitted_at: float = 0.0
         self.admitted_at: float = 0.0  # sojourn clock for the CoDel shedder
-        self.context: Optional[MontgomeryContext] = None  # batch's shared ctx
+        self.context: Optional[MontgomeryContext] = None  # the request's own ctx
 
 
 class ModExpService:
@@ -143,7 +145,7 @@ class ModExpService:
         with this service's backend instance — request timeouts cannot
         interrupt an inline execution; ``"shard"`` runs ``workers``
         pre-forked warm processes (:mod:`repro.serving.shard`), batches
-        consistent-hashed by ``(modulus, l)`` and shipped as single
+        consistent-hashed by batch key and shipped as single
         binary frames, the backend resolved by name from the default
         registry.  ``None`` (the default) picks ``"shard"`` when
         ``workers > 1``, else ``"inline"``.
@@ -473,9 +475,9 @@ class ModExpService:
         dispatched: List[_Entry] = []
         for batch in batches:
             entries = [entries_by_id[id(r)].popleft() for r in batch.requests]
-            for entry in entries:
+            for entry, context in zip(entries, batch.contexts):
                 entry.batch_index = batch.index
-                entry.context = batch.context
+                entry.context = context
             dispatched.extend(entries)
             live = self._shed_at_dispatch(entries)
             if not live:
@@ -485,7 +487,7 @@ class ModExpService:
                     now = time.monotonic()
                     futures = self.pool.submit_batch(
                         [e.request for e in live],
-                        context=batch.context,
+                        contexts=[e.context for e in live],
                         cheap_mode=cheap,
                     )
                     for entry, future in zip(live, futures):

@@ -1,17 +1,23 @@
-"""Sharded serving data plane: warm, modulus-homed worker processes.
+"""Sharded serving data plane: warm, key-homed worker processes.
 
 A worker process starts with cold caches — the compiled-kernel LRU and
 the ``precompute_montgomery_constants()`` table are per-process — so the
-plane sends every request of a modulus to the same worker, and sends it
-a whole coalesced batch at a time.  Three pieces:
+plane sends every batch of one batch key (see
+:func:`~repro.serving.scheduler.batch_key`) to the same worker, a whole
+coalesced batch at a time.  Three pieces:
 
-* :class:`ShardMap` — a consistent-hash ring that assigns every
-  ``(modulus, l)`` key a **home shard**.  Same key, same shard, every
-  time — so each shard's caches stay hot for its home moduli, the way
-  the quad-core RSA processor in the related work gives each core its
-  own key material.  Virtual nodes smooth the key distribution; dead
-  shards are skipped on the ring (their key ranges reassign to the next
-  alive shard) and reclaim their ranges when respawned.
+* :class:`ShardMap` — a consistent-hash ring that assigns every batch
+  key a **home shard**.  Same key, same shard, every time — so each
+  shard's caches stay hot for its home keys, the way the quad-core RSA
+  processor in the related work gives each core its own key material.
+  For most backends the key is ``(modulus, l)``, homed at
+  :func:`placement_key`.  The lock-step lane backends (``rtl``,
+  ``gate``) batch by operand width, so each width has one home shard:
+  its compiled kernel is built once there and its lane sweeps serve
+  every modulus of that width.  Virtual nodes smooth the key
+  distribution; dead shards are skipped on the ring (their key ranges
+  reassign to the next alive shard) and reclaim their ranges when
+  respawned.
 * the **batch frame** wire (see :mod:`repro.serving.wire`) — one
   coalesced batch travels to its shard as one length-prefixed binary
   message over a duplex pipe, big-int operands as raw bytes; the shard
@@ -53,7 +59,7 @@ flag asks the worker for one span session per request; the service
 adopts each under a ``serving.request`` span on the shard's track.
 The per-shard ``montgomery.precompute`` / ``montgomery.precompute_cache_hits``
 counters that fall out are the homing proof: a warm shard serves its
-home moduli from cache.  The pool additionally maintains
+home keys from cache.  The pool additionally maintains
 ``serving.shard_queue_depth``, ``serving.shard_busy_fraction`` and
 ``serving.shard_cache_hit_rate`` gauges per shard for the dashboards.
 """
@@ -93,6 +99,7 @@ from repro.serving.pool import (
     row_payload,
 )
 from repro.serving.request import ModExpRequest
+from repro.serving.scheduler import BatchKey, batch_key
 from repro.serving.wire import (
     BATCH_FRAME,
     NACK_FRAME,
@@ -107,7 +114,13 @@ from repro.serving.wire import (
     encode_result_frame,
 )
 
-__all__ = ["placement_key", "ShardMap", "ShardPool", "RemoteWorkerError"]
+__all__ = [
+    "placement_key",
+    "batch_placement_key",
+    "ShardMap",
+    "ShardPool",
+    "RemoteWorkerError",
+]
 
 #: Virtual nodes per shard on the consistent-hash ring.  More vnodes
 #: smooth the key distribution at the cost of ring size; 64 keeps an
@@ -121,6 +134,19 @@ def placement_key(modulus: int, l: int = 0) -> int:
         f"{modulus}|{l}".encode("ascii"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+def batch_placement_key(key: BatchKey) -> int:
+    """Ring position of one :func:`~repro.serving.scheduler.batch_key`.
+
+    A ``(modulus, l)`` key sits exactly where :func:`placement_key`
+    puts it.  A width key ``w`` (the lock-step lane backends) sits at
+    ``placement_key(0, w)``: no modulus is 0, so a width never shares a
+    position with a real ``(modulus, l)`` key by construction.
+    """
+    if isinstance(key, tuple):
+        return placement_key(*key)
+    return placement_key(0, key)
 
 
 class ShardMap:
@@ -217,7 +243,7 @@ def _shard_worker_main(
     Runs in a forked child.  The backend is resolved by name **once** —
     its compiled-kernel caches, and the process-wide Montgomery constant
     cache, then live for the worker's whole life; that persistence is the
-    entire point of homing moduli onto shards.  The batch itself runs
+    entire point of homing batch keys onto shards.  The batch itself runs
     through :func:`~repro.serving.pool.execute_batch`, the executor the
     inline plane calls too.
 
@@ -281,12 +307,18 @@ def _shard_worker_main(
         registry = MetricsRegistry() if want_telemetry else None
         started = time.perf_counter()
         with observe(metrics=registry) if registry is not None else nullcontext():
-            ctx = precompute_montgomery_constants(
-                requests[0].modulus, requests[0].l
-            )
+            # One context per key-table entry, from this worker's warm cache.
+            by_key: Dict[Tuple[int, int], MontgomeryContext] = {}
+            contexts = []
+            for request in requests:
+                key = request.coalesce_key
+                ctx = by_key.get(key)
+                if ctx is None:
+                    ctx = by_key[key] = precompute_montgomery_constants(*key)
+                contexts.append(ctx)
             rows = execute_batch(
                 exec_backend,
-                ctx,
+                contexts,
                 requests,
                 chaos=chaos,
                 attempt=attempt,
@@ -426,7 +458,7 @@ def _mp_context():
 
 
 class ShardPool(WindowedPool):
-    """Front-end dispatcher over N pre-forked, modulus-homed workers.
+    """Front-end dispatcher over N pre-forked, key-homed workers.
 
     The service's shard plane: :meth:`submit_batch` ships a coalesced
     batch as one frame, the rest of the surface (``depth``, ``load``,
@@ -472,6 +504,9 @@ class ShardPool(WindowedPool):
             raise ParameterError(f"shards must be >= 1, got {shards}")
         self.workers = shards
         self.backend_name = backend
+        # The workers' backend decides how far a batch may reach, so the
+        # parent reads its capabilities to place and check batches.
+        self._capabilities = default_registry().get(backend).capabilities
         self.chaos = chaos
         self.queue_limit = queue_limit if queue_limit is not None else 32 * shards
         self._window = SlotWindow(self.queue_limit)
@@ -621,10 +656,16 @@ class ShardPool(WindowedPool):
         self,
         requests: Sequence[ModExpRequest],
         *,
-        context: Optional[MontgomeryContext] = None,
+        contexts: Optional[Sequence[MontgomeryContext]] = None,
         cheap_mode: bool = False,
     ) -> List[Future]:
-        """Ship one coalesced batch to its home shard as a single frame.
+        """Ship one coalesced batch to its batch key's home shard as one frame.
+
+        Every request must share one
+        :func:`~repro.serving.scheduler.batch_key` of this pool's backend
+        (:class:`~repro.errors.ParameterError` otherwise): one
+        ``(modulus, l)``, or one operand width for the lock-step lane
+        backends, whose batches may span several moduli.
 
         Reserves one window slot per request (raising
         :class:`~repro.errors.QueueFull` past the bound, unless the
@@ -633,19 +674,19 @@ class ShardPool(WindowedPool):
         ``(value, cycles, wall_us, worker, span)`` — ``span`` is the
         request's worker span session when the parent has a tracer,
         else ``None`` — or raises the reconstructed worker-side error.
-        ``context`` is accepted for parity with the inline pool and
+        ``contexts`` is accepted for parity with the inline pool and
         ignored: the worker takes the constants from its own warm cache.
         """
         if self._closed:
             raise QueueFull("shard pool is shut down")
         if not requests:
             return []
-        key = (requests[0].modulus, requests[0].l)
-        for request in requests:
-            if request.coalesce_key != key:
+        key = batch_key(self._capabilities, requests[0])
+        for request in requests[1:]:
+            other = batch_key(self._capabilities, request)
+            if other != key:
                 raise ParameterError(
-                    "a shard batch must share one (modulus, l); got "
-                    f"{request.coalesce_key} and {key}"
+                    f"a shard batch must share one batch key; got {other} and {key}"
                 )
         self._window.reserve(len(requests), elastic=True)
         try:
@@ -667,7 +708,7 @@ class ShardPool(WindowedPool):
         """
         if self._closed:
             return None
-        key = placement_key(request.modulus, request.l)
+        key = batch_placement_key(batch_key(self._capabilities, request))
         try:
             owner = self.map.owner(key)
         except ShardFailure:
@@ -754,7 +795,7 @@ class ShardPool(WindowedPool):
         accepts the batch.  ``target`` pins the batch to an explicit
         shard (hedging) instead of the ring owner.
         """
-        key = placement_key(pending.requests[0].modulus, pending.requests[0].l)
+        key = batch_placement_key(batch_key(self._capabilities, pending.requests[0]))
         give_up = time.monotonic() + 30.0
         while True:
             if target is not None:

@@ -9,8 +9,9 @@ speak.
 the scheduler's coalesced batches cross the parent↔shard-worker pipe as
 *one* compact frame per batch instead of one pickled task per request.
 Big-int operands travel as raw big-endian bytes (an RSA-2048 modulus is
-256 bytes, not a 617-digit decimal string), and the batch's shared
-``(modulus, l)`` is encoded once per frame, not once per request.
+256 bytes, not a 617-digit decimal string), and each distinct
+``(modulus, l)`` of the batch is encoded once per frame, in a key table
+the requests index, not once per request.
 
 Frame grammar (all integers unsigned, network byte order)::
 
@@ -23,7 +24,7 @@ Frame grammar (all integers unsigned, network byte order)::
                 on the shard wire always surfaces as detectable shard
                 degradation
     batch    := 0x01 | u64 batch_id | u8 attempt | u8 bflags
-                | bigint modulus | u32 l | u16 count | request*
+                | u16 keys | key{keys} | u16 count | request*
                 bflags bit 0: caller wants the telemetry snapshot
                 (workers skip metrics capture entirely when clear)
                 bflags bit 1: brownout cheap mode — the worker executes
@@ -31,9 +32,15 @@ Frame grammar (all integers unsigned, network byte order)::
                 its primary
                 bflags bit 2: caller has a tracer — the worker records
                 one span session per request into the telemetry blob
-    request  := str16 id | bigint base | bigint exponent | u8 flags
+    key      := bigint modulus | u32 l
+                one distinct (modulus, l) of the batch: a batch cut by
+                (modulus, l) has one entry, a batch of a lock-step lane
+                backend (cut by width) one per modulus
+    request  := str16 id | u16 key | bigint base | bigint exponent | u8 flags
                 | [bigint p | bigint q]         when flags bit 0
                 | [f64 expires_at]              when flags bit 1
+                ``key`` indexes the key table; an index past the table
+                is a WireFormatError (the worker NACKs the batch)
                 flags bit 2: priority class is interactive (batch when
                 clear); ``expires_at`` is the absolute deadline on the
                 ``time.monotonic()`` clock — valid across forked
@@ -442,20 +449,51 @@ def encode_batch_frame(
 ) -> bytes:
     """One coalesced batch as a binary frame payload.
 
-    Every request must share one ``(modulus, l)`` — the scheduler's
-    coalescing invariant — so the modulus is encoded exactly once.
-    ``want_telemetry`` sets batch-flag bit 0: when clear, the worker
-    skips metrics capture for the batch (observation hooks on the
+    Each distinct ``(modulus, l)`` of the batch is encoded once, in the
+    frame's key table; every request carries a ``u16`` index into it.
+    A batch cut by ``(modulus, l)`` therefore sends its modulus once, and
+    a lane batch cut by width (see
+    :func:`repro.serving.scheduler.batch_key`) sends each of its moduli
+    once.  ``want_telemetry`` sets batch-flag bit 0: when clear, the
+    worker skips metrics capture for the batch (observation hooks on the
     engine hot path are not free) and answers with an empty telemetry
     blob.  ``cheap_mode`` sets bit 1 — the brownout lever: the worker
     executes the batch on its registry's cheapest capable backend
     instead of its primary.  ``want_spans`` sets bit 2: the worker
-    records one span session per request into the telemetry blob.  A request's absolute deadline and priority
-    class ride per-request flags, so expiry is checkable worker-side.
+    records one span session per request into the telemetry blob.  A
+    request's absolute deadline and priority class ride per-request
+    flags, so expiry is checkable worker-side.
     """
     if not requests:
         raise WireFormatError("a batch frame needs at least one request")
-    modulus, l = requests[0].modulus, requests[0].l
+    # One pass: the requests go to ``body`` while the key table fills in
+    # first-appearance order; the header and table are written after.
+    table: Dict[Tuple[int, int], bytes] = {}  # (modulus, l) -> packed index
+    body = bytearray()
+    for request in requests:
+        key = request.coalesce_key
+        index = table.get(key)
+        if index is None:
+            if len(table) == 0xFFFF:  # the key count is a u16
+                raise WireFormatError(
+                    "a batch frame holds at most 65535 (modulus, l) keys"
+                )
+            index = table[key] = _U16.pack(len(table))
+        _put_str(body, request.request_id, "id")
+        body += index
+        _put_bigint(body, request.base, "base")
+        _put_bigint(body, request.exponent, "exponent")
+        flags = _HAS_FACTORS if request.factors is not None else 0
+        if request.expires_at is not None:
+            flags |= _HAS_DEADLINE
+        if request.priority == "interactive":
+            flags |= _INTERACTIVE
+        body.append(flags)
+        if request.factors is not None:
+            _put_bigint(body, request.factors[0], "p")
+            _put_bigint(body, request.factors[1], "q")
+        if request.expires_at is not None:
+            body += _F64.pack(request.expires_at)
     buf = bytearray([BATCH_FRAME])
     buf += _U64.pack(batch_id)
     buf.append(attempt & 0xFF)
@@ -465,29 +503,12 @@ def encode_batch_frame(
     if want_spans:
         bflags |= _WANT_SPANS
     buf.append(bflags)
-    _put_bigint(buf, modulus, "modulus")
-    buf += _U32.pack(l)
+    buf += _U16.pack(len(table))
+    for modulus, l in table:
+        _put_bigint(buf, modulus, "modulus")
+        buf += _U32.pack(l)
     buf += _U16.pack(len(requests))
-    for request in requests:
-        if request.coalesce_key != (modulus, l):
-            raise WireFormatError(
-                "batch frame requests must share one (modulus, l); got "
-                f"{request.coalesce_key} vs {(modulus, l)}"
-            )
-        _put_str(buf, request.request_id, "id")
-        _put_bigint(buf, request.base, "base")
-        _put_bigint(buf, request.exponent, "exponent")
-        flags = _HAS_FACTORS if request.factors is not None else 0
-        if request.expires_at is not None:
-            flags |= _HAS_DEADLINE
-        if request.priority == "interactive":
-            flags |= _INTERACTIVE
-        buf.append(flags)
-        if request.factors is not None:
-            _put_bigint(buf, request.factors[0], "p")
-            _put_bigint(buf, request.factors[1], "q")
-        if request.expires_at is not None:
-            buf += _F64.pack(request.expires_at)
+    buf += body
     return _seal(buf)
 
 
@@ -496,7 +517,8 @@ def decode_batch_frame(
 ) -> Tuple[int, int, bool, List[ModExpRequest]]:
     """Parse a batch frame payload.
 
-    Returns ``(batch_id, attempt, want_telemetry, requests)``.  The
+    Returns ``(batch_id, attempt, want_telemetry, requests)``; each
+    request carries the ``(modulus, l)`` its key-table index names.  The
     cheap-mode and span flags are available separately via
     :func:`batch_frame_cheap_mode` and :func:`batch_frame_wants_spans`
     so this signature stays stable.
@@ -511,12 +533,21 @@ def decode_batch_frame(
     if bflags & ~(_WANT_TELEMETRY | _CHEAP_MODE | _WANT_SPANS):
         raise WireFormatError(f"unknown batch flags 0x{bflags:02x}")
     want_telemetry = bool(bflags & _WANT_TELEMETRY)
-    modulus = r.bigint("modulus")
-    l = r.u32("l")
+    keys = [
+        (r.bigint("modulus"), r.u32("l")) for _ in range(r.u16("key count"))
+    ]
     count = r.u16("request count")
     requests: List[ModExpRequest] = []
     for _ in range(count):
         request_id = r.string("request id")
+        index = r.u16("key index")
+        try:
+            modulus, l = keys[index]
+        except IndexError:
+            raise WireFormatError(
+                f"request {request_id!r}: key index {index} past the "
+                f"{len(keys)}-entry key table"
+            ) from None
         base = r.bigint("base")
         exponent = r.bigint("exponent")
         flags = r.u8("request flags")

@@ -44,7 +44,7 @@ class TestExecution:
     def test_mixed_exponent_batch_pow_correct(self):
         reqs, n = _requests(16, 6, seed=1)
         ctx = precompute_montgomery_constants(n)
-        results = ChipBackend().execute_many(ctx, reqs)
+        results = ChipBackend().execute_many([ctx] * len(reqs), reqs)
         assert len(results) == 6
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
@@ -55,15 +55,28 @@ class TestExecution:
         # multiplications at 3l+5 each.
         reqs, n = _requests(16, 3, seed=2, mixed=False)  # e=17: 10001b
         ctx = precompute_montgomery_constants(n)
-        results = ChipBackend().execute_many(ctx, reqs)
+        results = ChipBackend().execute_many([ctx] * len(reqs), reqs)
         mults = 2 + (17 .bit_length() - 1) + bin(17).count("1") - 1  # pre+post+sq+ml
         expected = mults * mmm_cycles_corrected(ctx.l)
         assert all(r.cycles == expected for r in results)
 
+    def test_two_moduli_rejected(self):
+        # The chip is batched by (modulus, l): handed a group spanning two
+        # moduli it must refuse, not run every chain under the first.
+        (first,), n = _requests(16, 1, seed=3)
+        (second,), other = _requests(16, 1, seed=4)
+        assert other != n
+        contexts = [
+            precompute_montgomery_constants(n),
+            precompute_montgomery_constants(other),
+        ]
+        with pytest.raises(ParameterError, match="one \\(modulus, l\\)"):
+            ChipBackend().execute_many(contexts, [first, second])
+
     def test_empty_batch(self):
         reqs, n = _requests(16, 1)
         ctx = precompute_montgomery_constants(n)
-        assert ChipBackend().execute_many(ctx, []) == []
+        assert ChipBackend().execute_many([], []) == []
 
 
 class TestCostModel:

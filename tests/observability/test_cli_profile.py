@@ -44,8 +44,10 @@ class TestProfileCommand:
         assert "lane fill" in out
         assert "serving wall time:" in out
         assert "busy by worker:" in out
-        # 12 requests over 6 distinct (modulus, exponent) pairs -> fill 2
-        assert "p50=2" in out
+        # 12 requests, 3 moduli of 10 bits x 2 exponents: the gate backend
+        # batches by width, so each exponent's 6 requests share a sweep
+        # across all 3 moduli -> fill 6
+        assert "p50=6" in out
 
     def test_artifacts_and_floor_gating(self, tmp_path):
         metrics = str(tmp_path / "m.json")

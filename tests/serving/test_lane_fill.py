@@ -1,7 +1,8 @@
 """Lane-fill accounting under mixed traffic (the profiler's serving leg).
 
-Coalescing groups by *modulus*; lane packing then groups each batch by
-*exponent*.  These tests drive deliberately mixed request sets through
+Coalescing groups the lane backends' requests by *width* (one
+Montgomery context per ``(modulus, l)``); lane packing then groups each
+batch by *exponent*, so one lane group may span several moduli.  These tests drive deliberately mixed request sets through
 both layers and assert the new accounting series — ``hdl.lane_fill``,
 ``hdl.wasted_lane_cycles``, ``serving.lane_group_size``,
 ``serving.lane_groups{packed}``, ``serving.coalesce_group_size`` —
@@ -49,7 +50,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [19, 23], 8)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = GateLevelBackend().execute_many(ctx, reqs)
+            results = GateLevelBackend().execute_many([ctx] * len(reqs), reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
 
@@ -71,7 +72,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [5, 7, 11], 3)  # singleton groups
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            GateLevelBackend().execute_many(ctx, reqs)
+            GateLevelBackend().execute_many([ctx] * len(reqs), reqs)
         assert "hdl.lane_fill" not in registry
         assert registry.counter("hdl.lanes_packed").total() == 0
 
@@ -91,23 +92,28 @@ class TestServiceGroupAccounting:
         return registry, moduli
 
     def test_mixed_moduli_and_exponents_grouping_arithmetic(self):
-        # 3 moduli x 2 exponents, 24 requests: coalescing makes 3 batches
-        # of 8; lane packing splits each into 2 groups of 4.
+        # 3 moduli x 2 exponents, 24 requests, all 10 bits wide: the gate
+        # backend batches by width, so coalescing makes 1 batch of 24
+        # (still one precompute of 8 requests per modulus); lane packing
+        # splits it into 2 exponent groups of 12, each spanning all 3
+        # moduli.
         registry, moduli = self._run([10, 10, 10], [19, 257], 24)
+        assert {n.bit_length() for n in moduli} == {10}
 
         coalesce = registry.histogram("serving.coalesce_group_size").aggregate()
         assert coalesce.count == len(set(moduli)) == 3
         assert coalesce.min == coalesce.max == 8
+        assert registry.histogram("serving.batch_size").aggregate().count == 1
 
         groups = registry.histogram("serving.lane_group_size").aggregate()
-        assert groups.count == 6  # 3 batches x 2 exponent groups
-        assert groups.min == groups.max == 4
-        assert registry.counter("serving.lane_groups").total(packed="yes") == 6
+        assert groups.count == 2  # 1 batch x 2 exponent groups
+        assert groups.min == groups.max == 12
+        assert registry.counter("serving.lane_groups").total(packed="yes") == 2
         assert registry.counter("serving.lane_groups").total(packed="no") == 0
 
         fill = registry.histogram("hdl.lane_fill").aggregate()
-        assert fill.min == fill.max == 4
-        assert registry.histogram("hdl.lane_fill").percentile(50) == 4.0
+        assert fill.min == fill.max == 12
+        assert registry.histogram("hdl.lane_fill").percentile(50) == 12.0
 
     def test_uneven_mix_produces_bimodal_fill(self):
         # One modulus; exponents 9x A and 3x B -> groups of 9 and 3.

@@ -1,16 +1,18 @@
 """Bit-sliced lane batching through the serving layer.
 
-Coalesced batches of same-modulus, same-exponent requests ride one
-64- or 256-lane compiled simulator sweep instead of one scalar
-simulation per request; mixed exponents and short batches degrade
-gracefully to scalar dispatch.  The wire format, result ordering and
-SLO inputs must be indistinguishable from scalar execution.
+Coalesced batches of same-width, same-exponent requests ride one 64- or
+256-lane compiled simulator sweep instead of one scalar simulation per
+request, each lane under its own modulus; mixed exponents and short
+batches degrade gracefully to scalar dispatch.  The wire format, result
+ordering and SLO inputs must be indistinguishable from scalar execution.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.errors import FaultDetected
 from repro.hdl.compiled import clear_kernel_cache
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, observe
@@ -59,7 +61,7 @@ class TestBackendLanes:
         backend = GateLevelBackend()
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = backend.execute_many(ctx, reqs)
+            results = backend.execute_many([ctx] * len(reqs), reqs)
         assert len(results) == len(reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
@@ -79,7 +81,7 @@ class TestBackendLanes:
         clear_kernel_cache()
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = backend.execute_many(ctx, reqs)
+            results = backend.execute_many([ctx] * len(reqs), reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
         fill = registry.histogram("hdl.lane_fill")
@@ -100,7 +102,7 @@ class TestBackendLanes:
         backend = GateLevelBackend()
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = backend.execute_many(ctx, reqs)
+            results = backend.execute_many([ctx] * len(reqs), reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
         assert registry.counter("hdl.lanes_packed").total() == 0
@@ -113,10 +115,73 @@ class TestBackendLanes:
         ctx = precompute_montgomery_constants(n)
         reqs = _requests(rng, n, 4, exponent=21)
         backend = GateLevelBackend()
-        grouped = backend.execute_many(ctx, reqs)
+        grouped = backend.execute_many([ctx] * len(reqs), reqs)
         scalar = [backend.execute(ctx, r) for r in reqs]
         assert [g.value for g in grouped] == [s.value for s in scalar]
         assert [g.cycles for g in grouped] == [s.cycles for s in scalar]
+
+
+def _mixed_modulus_group(rng, moduli, size, exponent):
+    """``size`` requests cycling over ``moduli``; each modulus's first two
+    requests carry the edge bases 0 and N-1."""
+    requests = []
+    for i in range(size):
+        n = moduli[i % len(moduli)]
+        edge = i // len(moduli)
+        base = 0 if edge == 0 else n - 1 if edge == 1 else rng.randrange(n)
+        requests.append(ModExpRequest(base, exponent, n, request_id=f"x{i}"))
+    return requests
+
+
+class TestMixedModulusLanes:
+    """One sweep, a modulus per lane: same answers as per-modulus runs."""
+
+    @pytest.mark.parametrize("l, size", [(16, 70), (32, 9), (64, 5)])
+    def test_rtl_mixed_moduli_match_pow_and_scalar_cycles(self, l, size):
+        rng = random.Random(f"rtl-mixed-{l}")
+        moduli = [random_odd_modulus(l, rng) for _ in range(3)]
+        requests = _mixed_modulus_group(rng, moduli, size, 65537)
+        contexts = [precompute_montgomery_constants(r.modulus) for r in requests]
+        backend = RTLBackend()
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            results = backend.execute_many(contexts, requests)
+        # One lane group: every multiplication is one sweep of all lanes.
+        fill = registry.histogram("hdl.lane_fill").aggregate()
+        assert fill.min == fill.max == size
+        for request, ctx, result in zip(requests, contexts, results):
+            assert result.value == pow(request.base, 65537, request.modulus)
+            assert result.cycles == backend.execute(ctx, request).cycles
+
+    def test_walter_bound_is_checked_against_each_lanes_own_modulus(self):
+        # Lane 0 runs the small modulus, lane 1 the large one.  A lane-0
+        # product in [2*N_small, 2*N_large) breaks lane 0's T < 2N bound
+        # but would pass a check against the other lane's modulus.
+        rng = random.Random("walter-per-lane")
+        small, large = 0x8001, 0xFFF1
+        requests = [
+            ModExpRequest(rng.randrange(small), 17, small, request_id="small"),
+            ModExpRequest(rng.randrange(large), 17, large, request_id="large"),
+        ]
+        contexts = [precompute_montgomery_constants(r.modulus) for r in requests]
+        backend = RTLBackend()
+        gate = backend._mmmc(16, backend.sweep_lanes(2))
+        real = gate.multiply_lanes
+        bad = 2 * small + 1
+        assert 2 * small <= bad < 2 * large
+
+        def lane0_out_of_bound(xs, ys, ns):
+            runs = real(xs, ys, ns)
+            return [replace(runs[0], result=bad)] + runs[1:]
+
+        gate.multiply_lanes = lane0_out_of_bound
+        try:
+            with pytest.raises(FaultDetected, match="lane 0") as caught:
+                backend.execute_many(contexts, requests)
+        finally:
+            del gate.multiply_lanes
+        assert caught.value.check == "walter-bound"
+        assert str(2 * small) in str(caught.value)
 
 
 class TestServiceLaneDispatch:

@@ -52,19 +52,19 @@ class TestBasics:
     def test_submit_returns_result(self, kind):
         pool = _inline() if kind == "inline" else ShardPool(shards=2, backend="integer")
         with pool:
-            (future,) = pool.submit_batch([_request()], context=_context())
+            (future,) = pool.submit_batch([_request()], contexts=[_context()])
             assert future.result(timeout=30)[0] == pow(3, 65537, N)
 
     def test_inline_runs_on_caller_thread(self):
         backend = _Probe()
         with _inline(backend) as pool:
-            (future,) = pool.submit_batch([_request()], context=_context())
+            (future,) = pool.submit_batch([_request()], contexts=[_context()])
         assert future.done()  # resolved before submit_batch returned
         assert backend.threads == [threading.get_ident()]
 
     def test_exceptions_surface_via_future(self):
         with _inline(_Probe(fail=True)) as pool:
-            (future,) = pool.submit_batch([_request()], context=_context())
+            (future,) = pool.submit_batch([_request()], contexts=[_context()])
         # The inline plane hands back the backend's own exception object.
         assert isinstance(future.exception(), ValueError)
 
@@ -115,7 +115,7 @@ class TestBackpressure:
         pool = _inline()
         pool.shutdown()
         with pytest.raises(QueueFull, match="shut down"):
-            pool.submit_batch([_request()], context=_context())
+            pool.submit_batch([_request()], contexts=[_context()])
 
     def test_default_queue_limit_scales_with_workers(self):
         assert _inline().queue_limit == 4
@@ -131,13 +131,16 @@ class TestExecuteBatch:
             ModExpRequest(2 + i, 17 if i % 2 else 19, n, request_id=f"g{i}")
             for i in range(6)
         ]
-        rows = execute_batch(gate, precompute_montgomery_constants(n), requests)
+        ctx = precompute_montgomery_constants(n)
+        rows = execute_batch(gate, [ctx] * len(requests), requests)
         assert [row["id"] for row in rows] == [r.request_id for r in requests]
         assert [row["value"] for row in rows] == [r.expected() for r in requests]
 
     def test_expired_request_gets_a_deadline_row(self):
         expired = _request(1, expires_at=time.monotonic() - 1.0)
-        rows = execute_batch(IntegerBackend(), _context(), [_request(), expired])
+        rows = execute_batch(
+            IntegerBackend(), [_context()] * 2, [_request(), expired]
+        )
         assert rows[0]["value"] == pow(3, 65537, N)
         assert rows[1]["error_type"] == "DeadlineExceeded"
         assert isinstance(rows[1]["exc"], DeadlineExceeded)

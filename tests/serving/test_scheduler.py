@@ -27,15 +27,15 @@ class TestCoalescing:
         requests = [_req(N1), _req(N2), _req(N1), _req(N2), _req(N1)]
         batches = coalesce(requests, BACKEND)
         assert len(batches) == 2
-        by_mod = {b.modulus: b.size for b in batches}
-        assert by_mod == {N1: 3, N2: 2}
+        by_key = {b.key: b.size for b in batches}
+        assert by_key == {(N1, 0): 3, (N2, 0): 2}
 
     def test_distinct_width_means_distinct_batch(self):
         # Same modulus, different circuit width -> different constants.
         requests = [_req(N3), _req(N3, l=40)]
         batches = coalesce(requests, BACKEND)
         assert len(batches) == 2
-        assert {b.context.l for b in batches} == {N3.bit_length(), 40}
+        assert {b.contexts[0].l for b in batches} == {N3.bit_length(), 40}
 
     def test_context_precomputed_once_per_distinct_modulus(self):
         montgomery_cache_clear()
@@ -59,7 +59,7 @@ class TestCoalescing:
         # Chunks of one modulus still share a single pre-computation.
         assert registry.counter("montgomery.precompute").total() == 1
         assert registry.counter("serving.coalesced_precomputes").total() == 1
-        assert len({id(b.context) for b in batches}) == 1
+        assert len({id(ctx) for b in batches for ctx in b.contexts}) == 1
 
     def test_batch_indices_continue_from_start_index(self):
         batches = coalesce([_req(N1), _req(N2)], BACKEND, start_index=7)
@@ -70,20 +70,20 @@ class TestDispatchOrder:
     def test_earliest_deadline_first(self):
         late, early = _req(N1, deadline=50.0), _req(N2, deadline=1.0)
         batches = coalesce([late, early], BACKEND)
-        assert [b.modulus for b in batches] == [N2, N1]
+        assert [b.key for b in batches] == [(N2, 0), (N1, 0)]
 
     def test_deadline_beats_cost(self):
         # N3 is far cheaper, but N1 carries the deadline.
         cheap = _req(N3)
         urgent = _req(N1, deadline=1.0)
         batches = coalesce([cheap, urgent], BACKEND)
-        assert batches[0].modulus == N1
+        assert batches[0].key == (N1, 0)
 
     def test_cost_breaks_ties_without_deadlines(self):
         heavy = _req(N1, e=(1 << 40) + 1)  # long exponent -> dearer batch
         light = _req(N2, e=3)
         batches = coalesce([heavy, light], BACKEND)
-        assert [b.modulus for b in batches] == [N2, N1]
+        assert [b.key for b in batches] == [(N2, 0), (N1, 0)]
         assert batches[0].estimated_cost < batches[1].estimated_cost
 
 

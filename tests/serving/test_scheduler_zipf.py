@@ -61,7 +61,7 @@ class TestGroupCounts:
         backend = default_registry().get("integer")
         for batch in coalesce(requests, backend, max_batch=16):
             keys = {r.coalesce_key for r in batch.requests}
-            assert keys == {(batch.modulus, batch.l)}
+            assert keys == {batch.key}
 
 
 class TestShardKeyStability:
@@ -89,7 +89,7 @@ class TestShardKeyStability:
         homes = {}
         for batch in coalesce(requests, backend, max_batch=8):
             owner = shard_map.owner(batch.requests[0].shard_key)
-            assert homes.setdefault((batch.modulus, batch.l), owner) == owner
+            assert homes.setdefault(batch.key, owner) == owner
 
 
 class TestNoLossUnderBackpressure:

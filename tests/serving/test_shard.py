@@ -2,9 +2,10 @@
 
 The tentpole invariants under test:
 
-* **Placement** — the consistent-hash ring maps each ``(modulus, l)``
-  stably to one home shard; a dead shard's keys reassign to the next
-  alive ring position and *return home* on revival.
+* **Placement** — the consistent-hash ring maps each batch key (a
+  ``(modulus, l)``, or a width for the lock-step lane backends) stably
+  to one home shard; a dead shard's keys reassign to the next alive
+  ring position and *return home* on revival.
 * **Correctness** — every value that crosses the binary pipe equals
   ``pow(base, exponent, modulus)``.
 * **Homing** — repeated traffic for a modulus hits its home shard's
@@ -16,6 +17,7 @@ The tentpole invariants under test:
 
 from __future__ import annotations
 
+import hashlib
 import random
 import signal
 import time
@@ -25,8 +27,14 @@ import pytest
 from repro.errors import ParameterError, QueueFull, ShardFailure
 from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
-from repro.serving import ModExpRequest, ModExpService
-from repro.serving.shard import DEFAULT_VNODES, ShardMap, ShardPool, placement_key
+from repro.serving import ModExpRequest, ModExpService, WorkloadConfig, generate_workload
+from repro.serving.shard import (
+    DEFAULT_VNODES,
+    ShardMap,
+    ShardPool,
+    batch_placement_key,
+    placement_key,
+)
 from repro.utils.rng import random_odd_modulus
 
 
@@ -84,6 +92,53 @@ class TestShardMap:
         # Consistent hashing is lumpy but every shard must own a
         # non-trivial share of a large random key population.
         assert min(counts) > 2000 // 16
+
+
+class TestPinnedHomes:
+    """The ``(modulus, l)`` ring positions must never move.
+
+    The homes below were computed from ``ShardMap(2)`` before batch keys
+    by width existed; the benchmark's keyring workloads depend on them.
+    """
+
+    @staticmethod
+    def _keyring(**traffic):
+        config = WorkloadConfig(requests=0, **traffic)
+        return generate_workload(config, seed="perfbench-keyring").keyring
+
+    def test_keyring_homes(self):
+        ring = self._keyring(keys=8, bits=(192, 256), zipf_s=1.2, exponent_bits=(64,))
+        shard_map = ShardMap(2)
+        homes = [shard_map.owner(placement_key(n, 0)) for n in ring]
+        assert homes == [0, 0, 1, 1, 0, 0, 0, 0]
+        assert homes == [
+            shard_map.owner(batch_placement_key((n, 0))) for n in ring
+        ]
+
+    def test_small_keys_homes(self):
+        ring = self._keyring(
+            keys=4096,
+            bits=(16, 24, 32),
+            zipf_s=1.1,
+            exponent_bits=tuple(range(8, 17)),
+            interactive_share=0.25,
+        )
+        shard_map = ShardMap(2)
+        homes = "".join(
+            str(shard_map.owner(batch_placement_key((n, 0)))) for n in ring
+        )
+        assert (homes.count("0"), homes.count("1")) == (2295, 1801)
+        assert homes[:64] == (
+            "0100101000110010010101011000001100100111010100001000110101011110"
+        )
+        assert hashlib.sha256(homes.encode()).hexdigest() == (
+            "01a86afe33054aba56f3ac8166d611124e0028e9a0a18bef48db4e82688f5f6d"
+        )
+
+    def test_width_keys_never_share_a_modulus_position(self):
+        assert batch_placement_key(32) == placement_key(0, 32)
+        assert batch_placement_key(32) != batch_placement_key((32, 0))
+        assert batch_placement_key(32) != batch_placement_key(64)
 
 
 class TestShardPool:
@@ -176,7 +231,8 @@ class TestShardPool:
         # The warm-worker claim for the compiled-simulation backends:
         # the kernel LRU lives in the shard process, so repeated traffic
         # for a modulus width compiles its (netlist, lanes) kernel at
-        # most once per shard — and only on the modulus's home shard.
+        # most once per shard — and only on the width's home shard (the
+        # lock-step lane backends batch and home by width).
         from repro.hdl.compiled import clear_kernel_cache
 
         # Earlier tests may have compiled this kernel in *this* process;
@@ -201,7 +257,7 @@ class TestShardPool:
             )
         misses = registry.counter("hdl.compile_cache_misses")
         assert misses.total() == 1  # one compile, ever, across both rounds
-        home = ShardMap(2).owner(placement_key(m, requests[0].l))
+        home = ShardMap(2).owner(batch_placement_key(requests[0].width))
         assert misses.total(shard=str(home)) == 1
         # The whole same-exponent batch crossed the pipe as one frame
         # and ran as one packed lane group on the home shard.
@@ -246,6 +302,46 @@ class TestServiceIntegration:
             assert result.value == pow(
                 request.base, request.exponent, request.modulus
             )
+
+    def test_rtl_widths_each_homed_on_one_shard(self):
+        # 2 widths x 3 moduli through the rtl backend on 2 shards: each
+        # width is one batch, homed by width, so it compiles its kernel
+        # once, on its home shard, and every request of the width lands
+        # there.
+        from repro.hdl.compiled import clear_kernel_cache
+
+        clear_kernel_cache()  # fork the workers from a cold kernel LRU
+        rng = random.Random("rtl-widths")
+        widths = {15: 4, 16: 5}  # width -> requests per modulus
+        shard_map = ShardMap(2)
+        homes = {w: shard_map.owner(batch_placement_key(w)) for w in widths}
+        assert sorted(homes.values()) == [0, 1]
+        requests = []
+        for width, per_modulus in widths.items():
+            moduli = [random_odd_modulus(width, rng) for _ in range(3)]
+            for i in range(3 * per_modulus):
+                n = moduli[i % 3]
+                requests.append(
+                    ModExpRequest(rng.randrange(n), 17, n, request_id=f"w{width}-{i}")
+                )
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            with ModExpService(
+                backend="rtl", workers=2, worker_kind="shard", max_batch=64
+            ) as service:
+                results = service.process(requests)
+        for request, result in zip(requests, results):
+            assert result.ok, result.error
+            assert result.value == pow(request.base, 17, request.modulus)
+        misses = registry.counter("hdl.compile_cache_misses")
+        sent = registry.counter("serving.shard_requests")
+        batches = registry.counter("serving.shard_batches")
+        for width, per_modulus in widths.items():
+            home = str(homes[width])
+            assert misses.total(shard=home) == 1
+            assert sent.total(shard=home) == 3 * per_modulus
+            assert batches.total(shard=home) == 1
+        assert misses.total() == len(widths)
 
     def test_shard_rejects_unregistered_backend(self):
         from repro.serving.backends import default_registry

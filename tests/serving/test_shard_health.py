@@ -108,12 +108,13 @@ class TestMalformedFrames:
             decode_batch_frame(bytes(frame))
 
     def test_truncation_after_a_length_prefix(self):
-        # Cut the body right after the modulus's u32 length prefix (offset
-        # 11 past kind+batch_id+attempt+bflags), then re-seal: the reader
-        # must fail on the missing payload, not wander off the end.
+        # Cut the body right after the first key's modulus u32 length
+        # prefix (offset 13, past kind+batch_id+attempt+bflags and the u16
+        # key count), then re-seal: the reader must fail on the missing
+        # payload, not wander off the end.
         body = self._frame()[:-4]
         with pytest.raises(WireFormatError, match="truncated frame"):
-            decode_batch_frame(_reseal(body[:15]))
+            decode_batch_frame(_reseal(body[:17]))
 
     def test_garbage_batch_flags(self):
         body = bytearray(self._frame()[:-4])
@@ -123,7 +124,7 @@ class TestMalformedFrames:
 
     def test_oversized_bigint_declaration(self):
         body = bytearray(self._frame()[:-4])
-        body[11:15] = struct.pack(">I", 0xFFFFFFFF)  # modulus "length"
+        body[13:17] = struct.pack(">I", 0xFFFFFFFF)  # first modulus "length"
         with pytest.raises(WireFormatError, match="exceeds frame bound"):
             decode_batch_frame(_reseal(bytes(body)))
 
@@ -201,6 +202,43 @@ class TestParentSideRecovery:
             assert payload[0] == pow(
                 request.base, request.exponent, request.modulus
             )
+
+
+    def test_key_index_past_the_table_nacks_and_requeues(self):
+        # A batch frame whose request names a key-table entry the frame
+        # does not carry: the worker NACKs it, the parent requeues the
+        # pending batch with a fresh frame, and no worker is recycled.
+        m = random_odd_modulus(64, random.Random("bad-index"))
+        requests = _requests(3, m, prefix="bi")
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            with ShardPool(shards=1, backend="integer", queue_limit=64) as pool:
+                shard = pool._shards[0]
+                pid = pool.shard_pids[0]
+                futures = [Future() for _ in requests]
+                pool._window.reserve(len(requests), elastic=True)
+                pending = _PendingBatch(777, requests, futures, 0)
+                with shard.lock:
+                    shard.pending[777] = pending
+                body = bytearray(encode_batch_frame(777, requests)[:-4])
+                # header 11 | u16 keys | u32 len + 8 modulus bytes | u32 l
+                # | u16 count | u16 len + id | u16 key index
+                at = 11 + 2 + 4 + 8 + 4 + 2 + 2 + len(requests[0].request_id)
+                assert body[at : at + 2] == b"\x00\x00"
+                body[at : at + 2] = struct.pack(">H", 9)
+                with pytest.raises(WireFormatError, match="past the"):
+                    decode_batch_frame(_reseal(bytes(body)))
+                with shard.send_lock:
+                    shard.conn.send_bytes(_reseal(bytes(body)))
+                payloads = [f.result(timeout=60) for f in futures]
+                assert pool.restarts == 0
+                assert pool.shard_pids[0] == pid
+                assert pool.health_states()[0] == "degraded"
+        assert pending.attempt == 1 and pending.requeued
+        for request, payload in zip(requests, payloads):
+            assert payload[0] == pow(request.base, request.exponent, request.modulus)
+        assert registry.counter("serving.requeued").total() == len(requests)
+        assert registry.counter("serving.corrupt_frames").total() == 1
 
 
 class TestServiceEndToEnd:

@@ -292,13 +292,56 @@ class TestFraming:
         with pytest.raises(WireFormatError, match="invalid request"):
             decode_batch_frame(_reseal(bad[:-4]))
 
-    def test_mixed_modulus_batch_refused_at_encode(self):
+    def test_multi_modulus_frame_round_trip(self):
+        # A lane batch cut by width spans several moduli: each distinct
+        # (modulus, l) rides the key table once, requests index it.
         requests = [
             ModExpRequest(4, 13, 497, request_id="a"),
-            ModExpRequest(4, 13, 499, request_id="b"),
+            ModExpRequest(5, 13, 499, request_id="b", l=12),
+            ModExpRequest(6, 17, 497, request_id="c"),
+            ModExpRequest(7, 13, 499, request_id="d", l=12, priority="interactive"),
+            ModExpRequest(8, 13, 501, request_id="e"),
         ]
-        with pytest.raises(WireFormatError, match="share one"):
+        payload = encode_batch_frame(4, requests)
+        _, _, _, out = decode_batch_frame(payload)
+        assert out == requests
+        assert payload.count((497).to_bytes(2, "big")) == 1
+        assert payload.count((499).to_bytes(2, "big")) == 1
+        # Header, then the u16 key count: three distinct (modulus, l).
+        assert struct.unpack(">H", payload[11:13]) == (3,)
+
+    def test_key_index_past_the_table_rejected(self):
+        requests = [ModExpRequest(4, 13, 497, request_id="x")]
+        body = bytearray(encode_batch_frame(1, requests)[:-4])
+        # header 11 | u16 keys | u32 len + 2 modulus bytes | u32 l
+        # | u16 count | u16 len + "x" | u16 key index
+        at = 11 + 2 + 4 + 2 + 4 + 2 + 2 + 1
+        assert body[at : at + 2] == b"\x00\x00"
+        body[at : at + 2] = struct.pack(">H", 1)
+        with pytest.raises(WireFormatError, match="key index 1 past"):
+            decode_batch_frame(_reseal(bytes(body)))
+
+    def test_key_table_holds_at_most_65535_keys(self):
+        # The key count is a u16: a batch of 65536 distinct moduli is
+        # refused at encode time instead of wrapping the count.
+        requests = [ModExpRequest(1, 3, 2 * i + 3) for i in range(0x10000)]
+        _, _, _, out = decode_batch_frame(encode_batch_frame(1, requests[:-1]))
+        assert len(out) == 0xFFFF
+        with pytest.raises(WireFormatError, match="at most 65535"):
             encode_batch_frame(1, requests)
+
+    def test_single_modulus_frame_grows_two_bytes_per_request(self):
+        # Frame lengths of the layout that carried one modulus field per
+        # frame, for these exact requests.  The key table adds one u16
+        # index per request and one u16 key count per frame.
+        before = {1: 50, 2: 67, 64: 1175}
+        n = (1 << 61) - 1
+        for k, old_len in before.items():
+            requests = [
+                ModExpRequest(3 + i, 65537, n, request_id=f"r{i}") for i in range(k)
+            ]
+            grown = len(encode_batch_frame(9, requests)) - old_len
+            assert grown == 2 * k + 2
 
     def test_empty_batch_refused(self):
         with pytest.raises(WireFormatError, match="at least one"):

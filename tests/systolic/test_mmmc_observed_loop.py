@@ -144,7 +144,7 @@ class TestBackendSweep:
         backend = RTLBackend()
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = backend.execute_many(ctx, reqs)
+            results = backend.execute_many([ctx] * len(reqs), reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, exponent, n)
         # to-Montgomery, 16 squarings, 1 multiply, from-Montgomery
