@@ -16,9 +16,11 @@ Three artifacts come out of one run:
 2. ``results/compiled_sim.json`` — machine-readable per-width numbers so
    future PRs have a perf trajectory;
 3. hard floors from ``baselines/compiled_sim.json`` asserted at l=64:
-   the compiled engine must stay ≥5x the interpreter single-lane and
-   ≥50x aggregate with 64 lanes.  A codegen regression fails the suite
-   loudly rather than silently eroding the speedup.
+   the compiled engine must stay ≥16x the interpreter single-lane and
+   ≥475x aggregate with 64 lanes, about half of what the cell-sliced
+   kernel measures.  A codegen regression, or a silent fallback to the
+   per-gate kernel (5.2x / 150x), fails the suite loudly rather than
+   silently eroding the speedup.
 
 Engine agreement is cross-checked inside ``measure_engines`` (every
 engine must produce identical products), so this is also a coarse

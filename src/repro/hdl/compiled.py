@@ -27,6 +27,25 @@ removes all per-gate interpreter dispatch:
   ``mask ^ a``.  The generated kernels take the mask at bind time, so the
   **same** compiled kernel source serves any lane count.
 
+* **Cell-sliced groups.**  A netlist that records repeated cells
+  (:attr:`Circuit.cells <repro.hdl.netlist.Circuit.cells>`: the MMMC's
+  regular array cells, X shift-register bits, token chain and RESULT
+  bits) compiles one word operation per *template* gate for each group of
+  isomorphic instances.  Its slot words hold bit ``j·L + k`` = instance
+  ``j``, lane ``k``; the registers a group reads or owns live in such
+  words, so a neighbour feed is a shift by ``L`` (``2L`` for the
+  two-cycle x/m pipelines, whose stages each sit in two slots).  Every
+  other gate and register — controller, counter, edge cells — stays one
+  lane word per wire, emitted exactly as for a netlist without groups,
+  and reads slot bits through shift-and-mask extractions
+  (:mod:`repro.hdl.cellslice`).  A group that is not isomorphic, owns a
+  watched register or feeds itself combinationally compiles per gate;
+  ``watch="all"`` compiles every gate per gate.  ``CompiledSimulator``
+  maps slot wires onto their bits for ``poke``/``peek``/``flip``/
+  ``capture`` and ``state_vector``.  Since an operation spans every
+  instance's slots, its cost grows with the lane count, which is why the
+  serving backends size the lane word to the group.
+
 * **Kernel cache.**  Compiled kernels are cached in a small LRU keyed by
   :meth:`Circuit.structural_key` (plus the watch signature), so the
   exponentiator's ~2l multiplications at one ``l`` — and every serving batch
@@ -36,8 +55,8 @@ Because gates that are folded or inlined never hit the value array — and
 unobserved registers never leave their closure cells — reading an arbitrary
 internal wire requires declaring it up front via ``watch`` (``watch="all"``
 materializes every gate output and register; the differential tests use
-this to compare engines wire-for-wire).  Primary inputs, primary outputs
-and watched wires are always readable.
+this to compare engines wire-for-wire).  Primary inputs, primary outputs,
+watched wires and slot-word registers are always readable.
 """
 
 from __future__ import annotations
@@ -70,6 +89,9 @@ _MAX_INLINE_DEPTH = 24
 _MAX_INLINE_CHARS = 640
 _KERNEL_CACHE_MAX = 128
 
+# Word operators of a generated kernel, counted per fused step.
+_OP_RE = re.compile(r"<<|>>|[&|^*]")
+
 _CONST0 = 0  # wire index of const0 in every Circuit
 _CONST1 = 1  # wire index of const1
 
@@ -88,27 +110,27 @@ def _paren(e: _Expr) -> str:
     return e.text if e.atomic else f"({e.text})"
 
 
-def _not_expr(a: _Expr) -> _Expr:
+def _not_expr(a: _Expr, one: str = "m") -> _Expr:
     if a.text == "0":
-        return _Expr("m", 0, True)
-    if a.text == "m":
+        return _Expr(one, 0, True)
+    if a.text == one:
         return _Expr("0", 0, True)
-    return _Expr(f"m ^ {_paren(a)}", a.depth + 1, False)
+    return _Expr(f"{one} ^ {_paren(a)}", a.depth + 1, False)
 
 
-def _and_expr(a: _Expr, b: _Expr) -> _Expr:
+def _and_expr(a: _Expr, b: _Expr, one: str = "m") -> _Expr:
     if a.text == "0" or b.text == "0":
         return _Expr("0", 0, True)
-    if a.text == "m":
+    if a.text == one:
         return b
-    if b.text == "m":
+    if b.text == one:
         return a
     return _Expr(f"{_paren(a)} & {_paren(b)}", 1 + max(a.depth, b.depth), False)
 
 
-def _or_expr(a: _Expr, b: _Expr) -> _Expr:
-    if a.text == "m" or b.text == "m":
-        return _Expr("m", 0, True)
+def _or_expr(a: _Expr, b: _Expr, one: str = "m") -> _Expr:
+    if a.text == one or b.text == one:
+        return _Expr(one, 0, True)
     if a.text == "0":
         return b
     if b.text == "0":
@@ -116,33 +138,35 @@ def _or_expr(a: _Expr, b: _Expr) -> _Expr:
     return _Expr(f"{_paren(a)} | {_paren(b)}", 1 + max(a.depth, b.depth), False)
 
 
-def _xor_expr(a: _Expr, b: _Expr) -> _Expr:
+def _xor_expr(a: _Expr, b: _Expr, one: str = "m") -> _Expr:
     if a.text == "0":
         return b
     if b.text == "0":
         return a
-    if a.text == "m":
-        return _not_expr(b)
-    if b.text == "m":
-        return _not_expr(a)
+    if a.text == one:
+        return _not_expr(b, one)
+    if b.text == one:
+        return _not_expr(a, one)
     return _Expr(f"{_paren(a)} ^ {_paren(b)}", 1 + max(a.depth, b.depth), False)
 
 
-def _gate_expr(kind: GateKind, a: _Expr, b: Optional[_Expr]) -> _Expr:
+def _gate_expr(kind: GateKind, a: _Expr, b: Optional[_Expr], one: str = "m") -> _Expr:
+    """Expression of one gate; ``one`` is the all-ones token of the word
+    (the lane mask ``m``, or a slot word's full mask)."""
     if kind is GateKind.AND:
-        return _and_expr(a, b)
+        return _and_expr(a, b, one)
     if kind is GateKind.OR:
-        return _or_expr(a, b)
+        return _or_expr(a, b, one)
     if kind is GateKind.XOR:
-        return _xor_expr(a, b)
+        return _xor_expr(a, b, one)
     if kind is GateKind.NAND:
-        return _not_expr(_and_expr(a, b))
+        return _not_expr(_and_expr(a, b, one), one)
     if kind is GateKind.NOR:
-        return _not_expr(_or_expr(a, b))
+        return _not_expr(_or_expr(a, b, one), one)
     if kind is GateKind.XNOR:
-        return _not_expr(_xor_expr(a, b))
+        return _not_expr(_xor_expr(a, b, one), one)
     if kind is GateKind.NOT:
-        return _not_expr(a)
+        return _not_expr(a, one)
     if kind is GateKind.BUF:
         return a
     raise SimulationError(f"cannot compile gate kind {kind!r}")  # pragma: no cover
@@ -168,6 +192,10 @@ class CompiledKernel:
         "probes",
         "num_gates",
         "num_wires",
+        "banks",
+        "homes",
+        "step_ops",
+        "capture_map",
     )
 
     def __init__(
@@ -181,6 +209,10 @@ class CompiledKernel:
         probes: Tuple[int, ...],
         num_gates: int,
         num_wires: int,
+        banks: Tuple[Tuple[int, ...], ...] = (),
+        homes: Optional[Dict[int, Tuple[Tuple[int, int], ...]]] = None,
+        step_ops: int = 0,
+        capture_map: Optional[Tuple[Tuple[int, int], ...]] = None,
     ) -> None:
         self.key = key
         self.name = name
@@ -191,6 +223,15 @@ class CompiledKernel:
         self.probes = probes
         self.num_gates = num_gates
         self.num_wires = num_wires
+        #: slot words of a cell-sliced kernel: the wire in each slot
+        self.banks = banks
+        #: wire -> ((bank, slot), ...) for every slot-resident wire
+        self.homes = homes or {}
+        #: word operations (``& | ^ << >> *``) in the fused step kernel
+        self.step_ops = step_ops
+        #: per probe, (entry, slot) into a compact capture sample (slot -1:
+        #: the entry is the lane word); None when samples are already flat
+        self.capture_map = capture_map
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -243,36 +284,41 @@ def _settle_body(
         g = gates[gi]
         a = wire_expr(g.inputs[0])
         b = wire_expr(g.inputs[1]) if len(g.inputs) > 1 else None
-        e = _gate_expr(g.kind, a, b)
         out = g.output
-        mat = out in materialize
-        if e.text in ("0", "m"):
-            # Constant-folded: consumers embed the literal; only emit a
-            # store if something outside the cloud reads this wire.
-            if mat:
-                lines.append(f"{_IND}v[{out}] = {e.text}")
-            expr[out] = e
-            continue
-        uses = fanout.get(out, 0)
-        if (
-            not mat
-            and uses <= 1
-            and e.depth < _MAX_INLINE_DEPTH
-            and len(e.text) < _MAX_INLINE_CHARS
-        ):
-            expr[out] = e  # inline into the single consumer
-        elif mat and uses == 0:
-            lines.append(f"{_IND}v[{out}] = {e.text}")
-            expr[out] = _Expr(f"v[{out}]", 0, True)
-        else:
-            lines.append(f"{_IND}w{out} = {e.text}")
-            if mat:
-                lines.append(f"{_IND}v[{out}] = w{out}")
-            expr[out] = _Expr(f"w{out}", 0, True)
+        _place_gate(
+            out, _gate_expr(g.kind, a, b), out in materialize, fanout.get(out, 0), lines, expr
+        )
     return lines, expr
 
 
-def _dff_specs(circuit: Circuit) -> List[Tuple[int, Optional[int], Optional[int], Optional[int]]]:
+def _place_gate(
+    out: int, e: _Expr, mat: bool, uses: int, lines: List[str], expr: Dict[int, _Expr]
+) -> None:
+    """Emit (or inline) one gate output's expression; record how to read it."""
+    if e.text in ("0", "m"):
+        # Constant-folded: consumers embed the literal; only emit a
+        # store if something outside the cloud reads this wire.
+        if mat:
+            lines.append(f"{_IND}v[{out}] = {e.text}")
+        expr[out] = e
+    elif (
+        not mat
+        and uses <= 1
+        and e.depth < _MAX_INLINE_DEPTH
+        and len(e.text) < _MAX_INLINE_CHARS
+    ):
+        expr[out] = e  # inline into the single consumer
+    elif mat and uses == 0:
+        lines.append(f"{_IND}v[{out}] = {e.text}")
+        expr[out] = _Expr(f"v[{out}]", 0, True)
+    else:
+        lines.append(f"{_IND}w{out} = {e.text}")
+        if mat:
+            lines.append(f"{_IND}v[{out}] = w{out}")
+        expr[out] = _Expr(f"w{out}", 0, True)
+
+
+def _dff_specs(dffs) -> List[Tuple[int, Optional[int], Optional[int], Optional[int]]]:
     """Fold constant enables/clears out of the DFF list.
 
     Returns ``(q, d, enable, clear)`` tuples with ``None`` meaning "always
@@ -280,7 +326,7 @@ def _dff_specs(circuit: Circuit) -> List[Tuple[int, Optional[int], Optional[int]
     to const0, no clear) are dropped entirely.
     """
     specs: List[Tuple[int, Optional[int], Optional[int], Optional[int]]] = []
-    for f in circuit.dffs:
+    for f in dffs:
         en: Optional[int] = f.enable
         clr: Optional[int] = f.clear
         if en == _CONST1:
@@ -299,7 +345,7 @@ def _dff_specs(circuit: Circuit) -> List[Tuple[int, Optional[int], Optional[int]
     return specs
 
 
-def _capture_blocks(specs, ref, qtok) -> List[Tuple[int, List[str]]]:
+def _capture_blocks(specs, ref, qtok) -> List[Tuple[str, List[str]]]:
     """Build the per-register capture blocks (one small line group each).
 
     ``clear`` dominates ``enable`` (the Virtex SR pin semantics the
@@ -325,7 +371,7 @@ def _capture_blocks(specs, ref, qtok) -> List[Tuple[int, List[str]]]:
         lines.append(f"{_IND}{prefix}{q} = {e.text}")
         return f"{prefix}{q}"
 
-    blocks: List[Tuple[int, List[str]]] = []
+    blocks: List[Tuple[str, List[str]]] = []
     for q, d, en, clr in specs:
         own = qtok(q)
         lines: List[str] = []
@@ -353,43 +399,45 @@ def _capture_blocks(specs, ref, qtok) -> List[Tuple[int, List[str]]]:
             lines.append(f"{_IND}    {own} = ({own} ^ (({own} ^ {dd}) & {e})) & (m ^ {c})")
             lines.append(f"{_IND}elif {e}:")
             lines.append(f"{_IND}    {own} = {own} ^ (({own} ^ {dd}) & {e})")
-        blocks.append((q, lines))
+        blocks.append((own, lines))
     return blocks
 
 
-_VTOK_RE = re.compile(r"v\[(\d+)\]")
-_QTOK_RE = re.compile(r"\bq(\d+)\b")
+# Register tokens in generated source: value-array slots, hidden register
+# closure cells (``q<wire>``) and slot words (``s<bank>``).
+_TOK_RE = re.compile(r"v\[\d+\]|\b[qs]\d+\b")
 
 
-def _order_writes(
-    blocks: List[Tuple[int, List[str]]],
-    qtok,
-) -> Tuple[List[str], List[str]]:
+def _token_re(tok: str):
+    return re.compile(re.escape(tok) if tok.startswith("v[") else r"\b%s\b" % tok)
+
+
+def _order_writes(blocks: List[Tuple[str, List[str]]]) -> Tuple[List[str], List[str]]:
     """Order capture blocks so reads observe pre-edge values.
 
-    All flip-flops capture simultaneously, but the writes execute one at a
+    ``blocks`` pairs each written register token with its lines.  All
+    flip-flops capture simultaneously, but the writes execute one at a
     time; a write must therefore run before any register it *reads* is
     overwritten.  Topologically ordering the writes handles every register
     chain (shift registers, pipelines, the token chain) with zero
     temporaries; only genuine cycles — FSM feedback, counter increments —
     fall back to latching the pre-edge value in an ``r<i>`` local emitted
-    before the writes.  Q-references are found textually (``v[i]`` /
-    ``q<i>`` tokens), so reads buried in inlined subexpressions count too.
+    before the writes.  Register references are found textually (``v[i]`` /
+    ``q<i>`` / ``s<i>`` tokens), so reads buried in inlined subexpressions
+    count too.
     """
-    targets = {q for q, _ in blocks}
-    tq = [q for q, _ in blocks]
+    targets = {t for t, _ in blocks}
+    tq = [t for t, _ in blocks]
     texts = [list(lines) for _, lines in blocks]
     reads: List[set] = []
     for i, lines in enumerate(texts):
-        joined = "\n".join(lines)
-        rd = {int(mm.group(1)) for mm in _VTOK_RE.finditer(joined)}
-        rd |= {int(mm.group(1)) for mm in _QTOK_RE.finditer(joined)}
-        # Own-q reads are safe in place: the RHS evaluates before the store.
-        reads.append({w for w in rd if w in targets and w != tq[i]})
-    readers_of: Dict[int, set] = {q: set() for q in targets}
+        rd = set(_TOK_RE.findall("\n".join(lines)))
+        # Own reads are safe in place: the RHS evaluates before the store.
+        reads.append({t for t in rd if t in targets and t != tq[i]})
+    readers_of: Dict[str, set] = {t: set() for t in targets}
     for i, rd in enumerate(reads):
-        for w in rd:
-            readers_of[w].add(i)
+        for t in rd:
+            readers_of[t].add(i)
 
     pending = set(range(len(blocks)))
     pre_lines: List[str] = []
@@ -405,18 +453,17 @@ def _order_writes(
         # by latching its pre-edge value and rewriting the pending readers.
         i = min(pending)
         qt = tq[i]
-        name = f"r{qt}"
-        pre_lines.append(f"{_IND}{name} = {qtok(qt)}")
-        pat_v = re.compile(r"v\[%d\]" % qt)
-        pat_q = re.compile(r"\bq%d\b" % qt)
+        name = "r" + (qt[2:-1] if qt.startswith("v[") else qt.lstrip("q"))
+        pre_lines.append(f"{_IND}{name} = {qt}")
+        pat = _token_re(qt)
 
         def repoint(line: str) -> str:
             # Rewrite reads only — assignment targets keep storing to the
             # real register; guard lines (`if e:`) have no target.
             lhs, sep, rhs = line.partition(" = ")
             if not sep:
-                return pat_q.sub(name, pat_v.sub(name, line))
-            return lhs + sep + pat_q.sub(name, pat_v.sub(name, rhs))
+                return pat.sub(name, line)
+            return lhs + sep + pat.sub(name, rhs)
 
         for j in pending:
             if qt in reads[j] or qt == tq[j]:
@@ -458,7 +505,7 @@ def _emit_factory(
     def qtok(w: int) -> str:
         return f"q{w}" if w in hidden else f"v[{w}]"
 
-    specs = _dff_specs(circuit)
+    specs = _dff_specs(circuit.dffs)
 
     # Fused-step fanout: strobes appear in the guard test and in the mux,
     # so giving them a count of 2 forces shared-gate enables into settle
@@ -489,8 +536,8 @@ def _emit_factory(
             return _Expr(f"q{w}", 0, True)
         return _Expr(f"v[{w}]", 0, True)
 
-    clock_pre, clock_out = _order_writes(_capture_blocks(specs, ref_split, qtok), qtok)
-    step_pre, step_out = _order_writes(_capture_blocks(specs, ref_fused, qtok), qtok)
+    clock_pre, clock_out = _order_writes(_capture_blocks(specs, ref_split, qtok))
+    step_pre, step_out = _order_writes(_capture_blocks(specs, ref_fused, qtok))
 
     hid_sorted = sorted(hidden)
     hid_names = [f"q{w}" for w in hid_sorted]
@@ -579,12 +626,28 @@ def _compile(circuit: Circuit, key: Tuple[str, object, Tuple[int, ...]]) -> Comp
                 want.add(f.clear)
         mat_split = frozenset(want & gate_outputs)
 
-    src = _emit_factory(circuit, mat_split, mat_fused, hidden, probes)
-    ns: Dict[str, object] = {}
+    sliced = None
+    if wkey != "all" and circuit.cells:
+        # Imported here so netlists without a cell record never load it.
+        from repro.hdl.cellslice import compile_sliced
+
+        sliced = compile_sliced(circuit, frozenset(wkey), mat_fused, hidden, probes)
+    if sliced is None:
+        banks, capture_map = (), None
+        src = _emit_factory(circuit, mat_split, mat_fused, hidden, probes)
+    else:
+        src, banks, hidden, capture_map = sliced
+    ns: Dict[str, object] = {"__posmask": _posmask, "__pack": _pack}
     exec(compile(src, f"<compiled:{circuit.name}>", "exec"), ns)
     # Peekability is advertised for the fused kernel (the fast path); the
-    # split kernels materialize strictly more combinational wires.
+    # split kernels materialize strictly more combinational wires.  Slot-word
+    # wires stay readable through the simulator's slot mapping.
     readable = frozenset(range(circuit.num_wires)) - (gate_outputs - mat_fused) - hidden
+    homes: Dict[int, List[Tuple[int, int]]] = {}
+    for bi, wires in enumerate(banks):
+        for pos, w in enumerate(wires):
+            homes.setdefault(w, []).append((bi, pos))
+    step = src.split("    def __step():\n", 1)[1].split("    def __capture():", 1)[0]
     return CompiledKernel(
         key=key,
         name=circuit.name,
@@ -595,7 +658,27 @@ def _compile(circuit: Circuit, key: Tuple[str, object, Tuple[int, ...]]) -> Comp
         probes=probes,
         num_gates=len(circuit.gates),
         num_wires=circuit.num_wires,
+        banks=tuple(banks),
+        homes={w: tuple(h) for w, h in homes.items()},
+        step_ops=len(_OP_RE.findall(step)),
+        capture_map=capture_map,
     )
+
+
+def _posmask(m: int, lanes: int, positions: Sequence[int]) -> int:
+    """Slot word with every lane of the given slots set."""
+    word = 0
+    for p in positions:
+        word |= m << (p * lanes)
+    return word
+
+
+def _pack(v: Sequence[int], lanes: int, wires: Sequence[int]) -> int:
+    """Slot word holding the value-array lane words of ``wires``."""
+    word = 0
+    for p, w in enumerate(wires):
+        word |= v[w] << (p * lanes)
+    return word
 
 
 # ----------------------------------------------------------------------
@@ -741,8 +824,17 @@ class CompiledSimulator:
             self._step_k,
             self._load,
             self._flush,
-            self.capture,
+            self.capture_raw,
+            *slots,
         ) = self.kernel.factory(self.values, self.mask)
+        # Cell-sliced kernels keep some wires in slot words (bit
+        # slot·lanes + k = lane k); _homes maps each to its (word, slot)s.
+        self._banks, self._set_banks = slots or (None, None)
+        self._homes = self.kernel.homes
+        q_wires = {f.q for f in circuit.dffs}
+        self._reg_banks = [
+            i for i, wires in enumerate(self.kernel.banks) if wires[0] in q_wires
+        ]
         self._hidden = self.kernel.hidden
         self.cycle = 0
         # Lanes carrying live work this sweep (lane-fill accounting); the
@@ -759,31 +851,70 @@ class CompiledSimulator:
                 "in watch=[...] (or watch='all') to keep it peekable"
             )
 
+    def _read(self, indices: Sequence[int], check: bool = True) -> List[int]:
+        """Current lane words of readable wires, wherever they live."""
+        homes, vals = self._homes, self.values
+        banks = self._banks() if homes else ()
+        m, k = self.mask, self.lanes
+        out = []
+        for index in indices:
+            home = homes.get(index)
+            if home is not None:
+                bank, slot = home[0]
+                out.append((banks[bank] >> (slot * k)) & m)
+            else:
+                if check:
+                    self._check_readable(index)
+                out.append(vals[index])
+        return out
+
+    def _write(self, words: Dict[int, int], xor: bool = False) -> None:
+        """Store (or XOR in) lane words, routing slot and hidden wires."""
+        vals, homes = self.values, self._homes
+        slots = {w: x for w, x in words.items() if w in homes}
+        hid = bool(self._hidden) and not self._hidden.isdisjoint(words)
+        if hid:
+            self._flush()
+        for w, x in words.items():
+            if w not in slots:
+                vals[w] = vals[w] ^ x if xor else x
+        if hid:
+            self._load()
+        if not slots:
+            return
+        # Each touched slot word is rebuilt in one pass: the new slots and
+        # a keep-mask as binary strings (slot 0 last), parsed once.
+        k = self.lanes
+        fmt, zero, ones = f"0{k}b", "0" * k, "1" * k
+        per_bank: Dict[int, Tuple[List[str], List[str]]] = {}
+        for w, x in slots.items():
+            for bank, slot in homes[w]:
+                if bank not in per_bank:
+                    n = len(self.kernel.banks[bank])
+                    per_bank[bank] = ([zero] * n, [ones] * n)
+                new, keep = per_bank[bank]
+                new[slot], keep[slot] = format(x, fmt), zero
+        banks = list(self._banks())
+        for bank, (new, keep) in per_bank.items():
+            ins = int("".join(reversed(new)), 2)
+            if xor:
+                banks[bank] ^= ins
+            else:
+                banks[bank] = (banks[bank] & int("".join(reversed(keep)), 2)) | ins
+        self._set_banks(banks)
+
     def poke(self, wire_or_bus, value: int) -> None:
         """Drive an input with one value, broadcast to every lane."""
         m = self.mask
-        vals = self.values
         if isinstance(wire_or_bus, Wire):
             if value not in (0, 1):
                 raise SimulationError(f"single wire takes 0/1, got {value}")
-            idx = wire_or_bus.index
-            if idx in self._hidden:
-                self._flush()
-                vals[idx] = m if value else 0
-                self._load()
-            else:
-                vals[idx] = m if value else 0
+            self._write({wire_or_bus.index: m if value else 0})
             return
         bus: Sequence[Wire] = wire_or_bus
         if value < 0 or value >> len(bus):
             raise SimulationError(f"value {value} does not fit bus of width {len(bus)}")
-        hid = bool(self._hidden) and not self._hidden.isdisjoint(w.index for w in bus)
-        if hid:
-            self._flush()
-        for i, w in enumerate(bus):
-            vals[w.index] = m if (value >> i) & 1 else 0
-        if hid:
-            self._load()
+        self._write({w.index: m if (value >> i) & 1 else 0 for i, w in enumerate(bus)})
 
     def poke_lanes(self, wire_or_bus, lane_values: Sequence[int]) -> None:
         """Drive an input with one value per lane."""
@@ -791,7 +922,6 @@ class CompiledSimulator:
             raise SimulationError(
                 f"expected {self.lanes} lane values, got {len(lane_values)}"
             )
-        vals = self.values
         if isinstance(wire_or_bus, Wire):
             word = 0
             for k, v in enumerate(lane_values):
@@ -799,57 +929,73 @@ class CompiledSimulator:
                     raise SimulationError(f"lane {k}: single wire takes 0/1, got {v}")
                 if v:
                     word |= 1 << k
-            idx = wire_or_bus.index
-            if idx in self._hidden:
-                self._flush()
-                vals[idx] = word
-                self._load()
-            else:
-                vals[idx] = word
+            self._write({wire_or_bus.index: word})
             return
-        bus: Sequence[Wire] = wire_or_bus
-        hid = bool(self._hidden) and not self._hidden.isdisjoint(w.index for w in bus)
-        if hid:
-            self._flush()
-        for w, word in zip(bus, pack_lanes(lane_values, len(bus))):
-            vals[w.index] = word
-        if hid:
-            self._load()
+        self.poke_words(wire_or_bus, pack_lanes(lane_values, len(wire_or_bus)))
+
+    def poke_words(self, bus: Sequence[Wire], words: Sequence[int]) -> None:
+        """Drive a bus with per-wire lane words, as :func:`pack_lanes` returns.
+
+        Lets a caller pack one operand set once and drive it onto several
+        buses (a squaring's X and Y).
+        """
+        self._write({w.index: word for w, word in zip(bus, words)})
 
     def peek(self, wire_or_bus, lane: int = 0) -> int:
         """Read one lane (default lane 0) of a wire or little-endian bus."""
         if not (0 <= lane < self.lanes):
             raise SimulationError(f"lane {lane} out of range [0, {self.lanes})")
-        vals = self.values
         if isinstance(wire_or_bus, Wire):
-            self._check_readable(wire_or_bus.index)
-            return (vals[wire_or_bus.index] >> lane) & 1
+            return (self._read([wire_or_bus.index])[0] >> lane) & 1
         acc = 0
-        for i, w in enumerate(wire_or_bus):
-            self._check_readable(w.index)
-            acc |= ((vals[w.index] >> lane) & 1) << i
+        for i, word in enumerate(self._read([w.index for w in wire_or_bus])):
+            acc |= ((word >> lane) & 1) << i
         return acc
 
     def peek_lanes(self, wire_or_bus) -> List[int]:
         """Read every lane of a wire or bus as a list of integers."""
-        vals = self.values
         if isinstance(wire_or_bus, Wire):
-            self._check_readable(wire_or_bus.index)
-            word = vals[wire_or_bus.index]
+            word = self._read([wire_or_bus.index])[0]
             return [(word >> k) & 1 for k in range(self.lanes)]
-        words = []
-        for w in wire_or_bus:
-            self._check_readable(w.index)
-            words.append(vals[w.index])
-        return unpack_lanes(words, self.lanes)
+        return unpack_lanes(self._read([w.index for w in wire_or_bus]), self.lanes)
+
+    def capture(self) -> Tuple[int, ...]:
+        """The probed wires' current lane words, one per probe, in order."""
+        return self.expand_capture(self.capture_raw())
+
+    def expand_capture(self, raw: Sequence[int]) -> Tuple[int, ...]:
+        """Flatten a ``capture_raw`` sample to one lane word per probe.
+
+        The codegenned tap of a cell-sliced kernel returns its slot words
+        whole (a tuple of references, no per-probe shift) so an armed
+        flight recorder pays almost nothing per cycle; the per-probe
+        extraction runs only when a window is decoded.
+        """
+        cmap = self.kernel.capture_map
+        if cmap is None:
+            return tuple(raw)
+        m, k = self.mask, self.lanes
+        return tuple(raw[i] if slot < 0 else (raw[i] >> slot * k) & m for i, slot in cmap)
+
+    def state_vector(self) -> Tuple[int, ...]:
+        """Every flip-flop's Q lane word, in ``circuit.dffs`` order.
+
+        Reads hidden closure-cell registers and slot words alike, so two
+        kernels of one netlist can be compared register for register.
+        """
+        if self._hidden:
+            self._flush()
+        return tuple(self._read([f.q for f in self.circuit.dffs], check=False))
 
     def flip(self, wire: Wire, lanes: Optional[Sequence[int]] = None) -> None:
         """Invert a wire's value (single-event-upset injection).
 
         ``lanes`` selects which packed simulations are hit (default: all
         of them).  Works on hidden registers too — their closure-cell
-        state is flushed to the value array, XORed, and loaded back —
-        so fault campaigns can target any DFF without a ``watch`` set.
+        state is flushed to the value array, XORed, and loaded back — and
+        on slot-word registers, where every slot holding the register
+        flips — so fault campaigns can target any DFF without a ``watch``
+        set.
         """
         if lanes is None:
             xor = self.mask
@@ -861,13 +1007,7 @@ class CompiledSimulator:
                         f"lane {k} out of range [0, {self.lanes})"
                     )
                 xor |= 1 << k
-        idx = wire.index
-        if idx in self._hidden:
-            self._flush()
-            self.values[idx] ^= xor
-            self._load()
-        else:
-            self.values[idx] ^= xor
+        self._write({wire.index: xor}, xor=True)
 
     # -- phases ---------------------------------------------------------
     def settle(self) -> None:
@@ -913,6 +1053,11 @@ class CompiledSimulator:
             self.values[f.q] = m if f.reset_value else 0
         if self._hidden:
             self._load()
+        if self._reg_banks:
+            banks = list(self._banks())
+            for i in self._reg_banks:
+                banks[i] = _pack(self.values, self.lanes, self.kernel.banks[i])
+            self._set_banks(banks)
         self.cycle = 0
         self.settle()
 

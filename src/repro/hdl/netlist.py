@@ -14,13 +14,14 @@ same convention as :mod:`repro.utils.bits`.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import HardwareModelError
 from repro.hdl.gates import Gate, GateKind
 
-__all__ = ["Wire", "DFF", "Circuit"]
+__all__ = ["Wire", "DFF", "CellInstance", "Circuit"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,27 @@ class DFF:
     clear: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class CellInstance:
+    """One copy of a repeated cell, recorded at elaboration.
+
+    ``gates`` and ``dffs`` index the instance's own gates and flip-flops in
+    :attr:`Circuit.gates` / :attr:`Circuit.dffs`, in template order (every
+    instance of a group builds them in the same order).  ``ports`` maps
+    each port name to the wire the instance reads there.  The record is
+    metadata only: the flat gate list stays the netlist, and the census,
+    the Verilog export and the interpreted simulator never read it.  The
+    compiled engine uses it to evaluate all instances of a group with one
+    word operation per template gate (:mod:`repro.hdl.compiled`).
+    """
+
+    group: str
+    index: int
+    gates: Tuple[int, ...]
+    dffs: Tuple[int, ...]
+    ports: Tuple[Tuple[str, int], ...]
+
+
 class Circuit:
     """A flat gate-level netlist.
 
@@ -71,6 +93,8 @@ class Circuit:
         self.dffs: List[DFF] = []
         self.inputs: Dict[str, int] = {}
         self.outputs: Dict[str, int] = {}
+        # Repeated-cell record (see CellInstance); empty for ad-hoc netlists.
+        self.cells: List[CellInstance] = []
         self._driven: set = set()
         self.const0 = self.new_wire("const0")
         self.const1 = self.new_wire("const1")
@@ -184,6 +208,32 @@ class Circuit:
         return q
 
     # ------------------------------------------------------------------
+    # Repeated-cell record
+    # ------------------------------------------------------------------
+    @contextmanager
+    def instance(
+        self, group: str, index: int, dffs: Sequence[int] = (), **ports: Wire
+    ) -> Iterator[None]:
+        """Record the gates built inside the ``with`` block as one cell instance.
+
+        Flip-flops created inside the block belong to the instance too;
+        ``dffs`` adds indices into :attr:`dffs` of ones created earlier (so
+        their Qs could be read before the logic existed).  ``ports`` names
+        the wires the instance reads.
+        """
+        start, start_ff = len(self.gates), len(self.dffs)
+        yield
+        self.cells.append(
+            CellInstance(
+                group=group,
+                index=index,
+                gates=tuple(range(start, len(self.gates))),
+                dffs=tuple(dffs) + tuple(range(start_ff, len(self.dffs))),
+                ports=tuple((name, self._check_wire(w)) for name, w in ports.items()),
+            )
+        )
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
@@ -226,20 +276,24 @@ class Circuit:
         the exponentiator's ~2l multiplications at one ``l``, or every
         serving batch at the same width — and compiles it exactly once.
         The digest is memoized; appending wires, gates or flip-flops
-        invalidates the memo.
+        invalidates the memo.  A recorded cell-instance list is part of
+        the digest (it changes the compiled kernel); a circuit without one
+        hashes exactly as before the record existed.
         """
-        shape = (self.num_wires, len(self.gates), len(self.dffs))
+        shape = (self.num_wires, len(self.gates), len(self.dffs), len(self.cells))
         cached = getattr(self, "_structural_key", None)
         if cached is not None and cached[0] == shape:
             return cached[1]
         h = hashlib.sha256()
-        h.update(repr(shape).encode())
+        h.update(repr(shape[:3]).encode())
         for g in self.gates:
             h.update(f"g{g.kind.value}{g.inputs}{g.output};".encode())
         for f in self.dffs:
             h.update(f"f{f.d},{f.q},{f.enable},{f.reset_value},{f.clear};".encode())
         h.update(repr(sorted(self.inputs.values())).encode())
         h.update(repr(sorted(self.outputs.values())).encode())
+        for cell in self.cells:
+            h.update(f"c{cell.group},{cell.index},{cell.gates},{cell.dffs},{cell.ports};".encode())
         key = h.hexdigest()
         self._structural_key = (shape, key)
         return key

@@ -10,8 +10,10 @@ values.  Two sample layouts exist, matching the two ways state is reachable:
   from its value array; the compiled engine yields *lane words* (bit ``k``
   of each entry is lane ``k``'s value) produced by the ``__capture`` closure
   codegenned into the kernel, so capture survives compilation and hidden
-  closure-cell registers stay samplable.  :meth:`ProbeSet.decode` extracts
-  one lane and reassembles the little-endian buses.
+  closure-cell registers stay samplable (a cell-sliced kernel's raw sample
+  holds whole slot words, expanded at decode — see :func:`make_sampler`).
+  :meth:`ProbeSet.decode` extracts one lane and reassembles the
+  little-endian buses.
 
 * **value probes** (``kind="values"``) — each sample is a flat tuple with
   one already-assembled integer per signal (the behavioral RTL array and
@@ -141,24 +143,34 @@ def mmmc_probe_set(ports) -> ProbeSet:
     )
 
 
-def make_sampler(sim, probes: ProbeSet) -> Callable[[], Tuple[int, ...]]:
-    """Zero-argument sampler returning one flat wire sample from ``sim``.
+def make_sampler(
+    sim, probes: ProbeSet
+) -> Tuple[Callable[[], Tuple[int, ...]], Callable[[Sequence[int], int], Dict[str, int]]]:
+    """``(sampler, decoder)``: a zero-argument tap on ``sim`` and its decode.
 
-    For the interpreted :class:`~repro.hdl.simulator.Simulator` this reads
-    the value array directly (peek-based taps).  For a
-    :class:`~repro.hdl.compiled.CompiledSimulator` it returns the kernel's
-    codegenned ``capture`` closure — the only way to observe hidden
-    closure-cell registers without flushing — and requires the simulator to
-    have been built with the same probe layout.
+    For the interpreted :class:`~repro.hdl.simulator.Simulator` the sampler
+    reads the value array directly (peek-based taps) and the decoder is
+    :meth:`ProbeSet.decode`.  For a
+    :class:`~repro.hdl.compiled.CompiledSimulator` the sampler is the
+    kernel's codegenned ``capture_raw`` closure — the only way to observe
+    hidden closure-cell registers without flushing — and requires the
+    simulator to have been built with the same probe layout.  A cell-sliced
+    kernel's raw samples hold whole slot words, so its decoder expands them
+    (:meth:`~repro.hdl.compiled.CompiledSimulator.expand_capture`) first;
+    the per-cycle cost stays one tuple of references.
     """
     if probes.kind != "wires":
         raise SimulationError("make_sampler needs a wire probe set")
-    capture = getattr(sim, "capture", None)
-    if capture is not None:  # CompiledSimulator
-        if tuple(getattr(sim, "probe_wires", ())) != probes.wire_indices:
-            raise SimulationError(
-                "compiled simulator was not built with this probe set; pass "
-                "probes=probe_set.wire_indices when constructing it"
-            )
-        return capture
-    return sim.sampler(probes.wire_indices)
+    capture = getattr(sim, "capture_raw", None)
+    if capture is None:
+        return sim.sampler(probes.wire_indices), probes.decode
+    # CompiledSimulator
+    if tuple(getattr(sim, "probe_wires", ())) != probes.wire_indices:
+        raise SimulationError(
+            "compiled simulator was not built with this probe set; pass "
+            "probes=probe_set.wire_indices when constructing it"
+        )
+    if sim.kernel.capture_map is None:
+        return capture, probes.decode
+    expand = sim.expand_capture
+    return capture, lambda sample, lane=0: probes.decode(expand(sample), lane)

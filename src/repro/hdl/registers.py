@@ -95,13 +95,19 @@ def shift_register_right(
     # loadable shift register actually maps on a Virtex slice.
     en = circuit.or_(load, shift, name=f"{name}.en")
     d_wires = [circuit.new_wire(f"{name}.d{i}") for i in range(width)]
+    first = len(circuit.dffs)
     q = [
         circuit.dff(d_wires[i], name=f"{name}[{i}]", enable=en) for i in range(width)
     ]
+    # Each bit (mux + D placeholder + flip-flop) is one recorded instance.
     for i in range(width):
         shifted_in = q[i + 1] if i + 1 < width else fill
-        nxt = mux2(circuit, load, shifted_in, load_data[i], name=f"{name}.ld{i}")
-        _drive(circuit, d_wires[i], nxt)
+        with circuit.instance(
+            f"{name}.bit", i, dffs=(first + i,),
+            load=load, shifted_in=shifted_in, load_data=load_data[i], enable=en,
+        ):
+            nxt = mux2(circuit, load, shifted_in, load_data[i], name=f"{name}.ld{i}")
+            _drive(circuit, d_wires[i], nxt)
     return q
 
 

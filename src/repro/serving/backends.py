@@ -301,9 +301,6 @@ class _NetlistBackend(ModExpBackend):
 
     #: netlist simulator engine for the cached instances
     simulator = "compiled"
-    #: lane word of a group of at most this many requests; larger groups
-    #: sweep on the full ``capabilities.lanes`` word
-    short_lanes = 64
 
     def __init__(self) -> None:
         import threading
@@ -315,11 +312,14 @@ class _NetlistBackend(ModExpBackend):
     def sweep_lanes(self, k: int) -> int:
         """Width of the lane word a ``k``-request group sweeps on.
 
-        A 256-lane sweep costs 1.06-1.18x a 64-lane one
-        (docs/SIMULATION.md), so a group that fits 64 lanes does not pay
-        for the wide word.
+        ``k`` rounded up to a multiple of 64, capped at
+        ``capabilities.lanes``.  The cell-sliced kernel's word operations
+        span every cell's slots, so their cost grows with the lane count:
+        at l=64 a cycle costs ~13 us on 128 lanes against ~17 us on 256
+        (docs/SIMULATION.md), and padding a group to the full word would
+        pay for lanes that carry nothing.
         """
-        return self.short_lanes if k <= self.short_lanes else self.capabilities.lanes
+        return min(-(-k // 64) * 64, self.capabilities.lanes)
 
     def _mmmc(self, l: int, lanes: int = 1):
         cache, key = (self._scalar, l) if lanes <= 1 else (self._vector, (l, lanes))
@@ -452,8 +452,8 @@ class RTLBackend(_NetlistBackend):
     equivalence suite proves cycle- and bit-identical to the behavioral
     model.  Same-exponent groups of up to 256 requests of one width, under
     any mix of moduli, run as one bit-sliced sweep per multiplication
-    (:meth:`execute_many`): 64 lanes wide for up to 64 requests, 256 wide
-    above that.
+    (:meth:`execute_many`) on a lane word of the group size rounded up to
+    a multiple of 64 (:meth:`sweep_lanes`).
     ``engine="rtl"`` falls back to the behavioral
     :class:`~repro.systolic.mmmc.MMMC` (needed e.g. for controller state
     traces, which the netlist twin does not log).
@@ -510,9 +510,9 @@ class GateLevelBackend(_NetlistBackend):
     The most faithful tier — every AND gate of every cell is evaluated —
     so the width ceiling stays tiny even though the compiled kernel
     engine (the default) recovers most of the interpreter overhead and
-    runs same-exponent groups of up to 256 requests as one 64- or
-    256-lane sweep.  ``simulator="interpreted"`` is the pre-codegen
-    path, kept for differential debugging (scalar only).
+    runs same-exponent groups of up to 256 requests as one lane sweep
+    (64, 128, 192 or 256 lanes).  ``simulator="interpreted"`` is the
+    pre-codegen path, kept for differential debugging (scalar only).
     """
 
     name = "gate"
@@ -523,8 +523,10 @@ class GateLevelBackend(_NetlistBackend):
         simulator=True,
         lanes=256,
     )
-    # Compiled kernels brought the per-cycle wall cost down ~7x from the
-    # interpreted simulator's 20000x; still far above the big-int paths.
+    # Scheduling weight per modelled cycle (the interpreted simulator's is
+    # 20000).  The compiled MMMC kernel now runs 26-37x faster than the
+    # interpreter single-lane (cell-sliced), far more than this ratio says,
+    # but still far above the big-int paths; the weight is kept as it was.
     wall_weight = 3000.0
 
     def __init__(self, simulator: str = "compiled") -> None:

@@ -220,17 +220,19 @@ def elaborate_array(
     c0_outs = {0: right.c0, 1: first.c0}
     c1_outs = {1: first.c1}
     for j in range(2, l):
-        cell = build_regular_cell(
-            c,
-            T(j + 1),
-            x_q[(j - 2) // 2],
-            y[j],
-            m_q[(j - 1) // 2],
-            n[j],
-            c0_q[j - 1],
-            C1(j - 1),
-            name=f"{name}.cell{j}",
+        # The l-2 regular cells are one recorded group (Fig. 1a wired by the
+        # 2i+j schedule of Fig. 2); the compiled engine steps them together.
+        ports = dict(
+            t_in=T(j + 1),
+            x=x_q[(j - 2) // 2],
+            y=y[j],
+            m=m_q[(j - 1) // 2],
+            n=n[j],
+            c0_in=c0_q[j - 1],
+            c1_in=C1(j - 1),
         )
+        with c.instance(f"{name}.regular", j - 2, **ports):
+            cell = build_regular_cell(c, *ports.values(), name=f"{name}.cell{j}")
         t_comb.append(cell.t)
         c0_outs[j] = cell.c0
         c1_outs[j] = cell.c1

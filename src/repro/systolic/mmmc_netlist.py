@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.errors import ParameterError, SimulationError
+from repro.hdl.compiled import pack_lanes
 from repro.hdl.netlist import Circuit, Wire
 from repro.hdl.probes import make_sampler, mmmc_probe_set
 from repro.hdl.registers import _drive, counter, equality_comparator, mux2, register, shift_register_right
@@ -139,10 +140,13 @@ def build_mmmc(l: int, mode: str = "corrected", name: str = "mmmc") -> MMMCPorts
     # ------------------------------------------------------------------
     token_len = l + 1 if mode == "corrected" else l
     tok_d = [c.new_wire(f"tok.d{k}") for k in range(token_len)]
+    first = len(c.dffs)
     tok_q = [c.dff(tok_d[k], name=f"tok[{k}]") for k in range(token_len)]
-    _drive(c, tok_d[0], c.and_(token_start, in_mul, name="tok.inj"))
-    for k in range(1, token_len):
-        _drive(c, tok_d[k], tok_q[k - 1])
+    inj = c.and_(token_start, in_mul, name="tok.inj")
+    for k in range(token_len):
+        prev = tok_q[k - 1] if k else inj
+        with c.instance("tok", k, dffs=(first + k,), prev=prev):
+            _drive(c, tok_d[k], prev)
 
     result_q: List[Wire] = []
     for b in range(l + 1):
@@ -155,7 +159,8 @@ def build_mmmc(l: int, mode: str = "corrected", name: str = "mmmc") -> MMMCPorts
                 # Paper mode: bit l comes from the leftmost cell's second
                 # output, at the same cycle as bit l-1.
                 src, en = core.t_next_comb, tok_q[l - 1]
-        result_q.append(c.dff(src, name=f"RES[{b}]", enable=en))
+        with c.instance("RES", b, d=src, en=en):
+            result_q.append(c.dff(src, name=f"RES[{b}]", enable=en))
 
     done = c.buf(in_out, name="DONE")
     c.mark_output("RESULT", result_q)
@@ -225,6 +230,9 @@ class GateLevelMMMC:
         # One-shot scheduled fault: (cycle, wire, lane_or_None), consumed
         # by the next multiply/multiply_lanes.  See schedule_fault().
         self._pending_fault = None
+        # (moduli, their lane packing) of the last multiply_lanes call: a
+        # sweep's lanes keep their keys for a whole exponentiation.
+        self._lane_ns = (None, None)
         self.sim.reset()
 
     # ------------------------------------------------------------------
@@ -289,21 +297,23 @@ class GateLevelMMMC:
         One ``OBS.flightrec`` load + truth test per multiplication when
         disarmed — the recorder's entire disarmed cost.  The sampler is the
         engine-appropriate tap: peek-based on the interpreted simulator,
-        the codegenned ``capture`` closure on the compiled one.
+        the codegenned ``capture_raw`` closure on the compiled one, with the
+        matching decoder handed to the recorder.
         """
         hub = OBS.flightrec
         if hub is None or not hub.armed:
             return None, None, None
+        sampler, decode = make_sampler(self.sim, self.probe_set)
         rec = hub.new_recorder(
             self.probe_set.names,
             self.probe_set.widths,
-            self.probe_set.decode,
+            decode,
             lane=lane_hint,
             meta={"l": self.l, "mode": self.mode, "engine": self.simulator},
         )
         if rec is None:
             return None, None, None
-        return hub, rec, make_sampler(self.sim, self.probe_set)
+        return hub, rec, sampler
 
     def _fault_cause(self, wire: Wire, lane) -> str:
         name = self.ports.circuit.wire_names[wire.index]
@@ -464,9 +474,15 @@ class GateLevelMMMC:
                 engine=self.simulator,
                 lanes=used,
             )
-        sim.poke_lanes(p.x_in, xs)
-        sim.poke_lanes(p.y_in, ys)
-        sim.poke_lanes(p.n_in, ns)
+        # Pack each distinct operand set once: a squaring drives one packing
+        # onto X and Y, and a sweep's moduli keep their packing across calls.
+        width = self.l + 1
+        x_words = pack_lanes(xs, width)
+        sim.poke_words(p.x_in, x_words)
+        sim.poke_words(p.y_in, x_words if ys == xs else pack_lanes(ys, width))
+        if ns != self._lane_ns[0]:
+            self._lane_ns = (ns, pack_lanes(ns, width))
+        sim.poke_words(p.n_in, self._lane_ns[1])
         sim.active_lanes = used  # lane-fill accounting in the compiled engine
         sim.poke(p.start, 1)  # broadcast: every lane starts together
         sim.step()

@@ -69,11 +69,13 @@ class TestBackendLanes:
         assert registry.counter("hdl.lanes_packed").total() > 0
 
     def test_sweep_width_follows_group_size(self):
-        """A group of up to 64 sweeps on the 64-lane word, a larger one on
-        the full word; both words share one compiled kernel."""
+        """A group sweeps on its size rounded up to a multiple of 64 lanes,
+        capped at the full word; every word shares one compiled kernel."""
         backend = GateLevelBackend()
         full = backend.capabilities.lanes
-        assert [backend.sweep_lanes(k) for k in (2, 64, 65, full)] == [64, 64, full, full]
+        assert [backend.sweep_lanes(k) for k in (2, 64, 65, 129, full, full + 1)] == [
+            64, 64, 128, 192, full, full,
+        ]
         rng = random.Random("lanes-width")
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
@@ -85,13 +87,14 @@ class TestBackendLanes:
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
         fill = registry.histogram("hdl.lane_fill")
-        narrow, wide = fill.aggregate(lanes=64), fill.aggregate(lanes=full)
+        word = backend.sweep_lanes(65)
+        narrow, wide = fill.aggregate(lanes=64), fill.aggregate(lanes=word)
         assert narrow.min == narrow.max == 64
         assert wide.min == wide.max == 65
         assert narrow.count + wide.count == fill.aggregate().count
         cycles = 3 * 9 + 5  # corrected-mode gate netlist at l=9
         wasted = registry.counter("hdl.wasted_lane_cycles").total()
-        assert wasted == (full - 65) * cycles * wide.count
+        assert wasted == (word - 65) * cycles * wide.count
         assert registry.counter("hdl.compile_cache_misses").total() == 1
 
     def test_execute_many_singletons_take_the_scalar_path(self):
