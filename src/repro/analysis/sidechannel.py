@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ParameterError
+from repro.montgomery.exponent import modexp_chain, run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.systolic.timing import mmm_cycles
 
@@ -77,7 +78,8 @@ def subtraction_trace(
     """Exponentiation via Algorithm 1, recording every subtraction event.
 
     Classical Montgomery with ``R1 = 2^l`` and operands kept in ``[0, N)``
-    by the conditional subtraction — the design point the paper replaces.
+    by the conditional subtraction — the design point the paper replaces —
+    driven through the same Algorithm 3 chain as every other engine.
     """
     ctx = MontgomeryContext(modulus)
     if not 0 <= message < modulus:
@@ -87,17 +89,12 @@ def subtraction_trace(
     r1_sq = pow(1 << ctx.l, 2, modulus)
     flags: List[bool] = []
 
-    def mont(x: int, y: int) -> int:
+    def mont(kind: str, x: int, y: int) -> int:
         v, f = _mont_with_flag(ctx, x, y)
         flags.append(f)
         return v
 
-    a = m_bar = mont(message, r1_sq)
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = mont(a, a)
-        if (exponent >> i) & 1:
-            a = mont(a, m_bar)
-    result = mont(a, 1)
+    result = run_chain(modexp_chain(message, exponent, r1_sq), mont)
     return SubtractionTrace(
         modulus=modulus, exponent=exponent, subtractions=flags, result=result
     )

@@ -2,7 +2,8 @@
 
 Where the other simulator backends run one request's square-and-multiply
 chain to completion before touching the next, this backend *interleaves
-the chains*: each request advances as a generator that yields one
+the chains*: each request advances as its own Algorithm 3 chain
+(:func:`~repro.montgomery.exponent.modexp_chain`), which yields one
 Montgomery-multiplication operand pair at a time, the chip schedules the
 outstanding multiplications of **different** requests into wave slots and
 tiles concurrently, and each completed product resumes its requester's
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import (
     DeadlineExceeded,
@@ -36,6 +37,7 @@ from repro.errors import (
     ParameterError,
     SimulationError,
 )
+from repro.montgomery.exponent import Chain, modexp_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.robustness.verify import walter_bound_ok
 from repro.serving.backends import (
@@ -49,27 +51,6 @@ from repro.chip.interleave import MMMOp
 from repro.chip.schedule import completion_estimate_cycles, speedup_model
 
 __all__ = ["ChipBackend"]
-
-#: yields (x, y) operand pairs, receives the Montgomery product back.
-_Chain = Generator[Tuple[int, int], int, int]
-
-
-def _modexp_chain(base: int, exponent: int, r2: int) -> _Chain:
-    """Algorithm 3 as a coroutine: yield operands, receive products.
-
-    The multiplication sequence is exactly ``_square_multiply``'s —
-    conversion, MSB-first squares + conditional multiplies, final
-    ``Mont(A, 1)`` — so a chip-run request is bit- and count-identical to
-    the sequential backends.
-    """
-    m_bar = yield (base, r2)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = yield (a, a)
-        if (exponent >> i) & 1:
-            a = yield (a, m_bar)
-    return (yield (a, 1))
-
 
 class ChipBackend(ModExpBackend):
     """Wave-interleaved multi-tile chip over the cycle-accurate array."""
@@ -202,12 +183,12 @@ class ChipBackend(ModExpBackend):
         n = ctx.modulus
         with self._lock:
             chip = self._chip(ctx.l)
-            chains: Dict[int, _Chain] = {}
+            chains: Dict[int, Chain] = {}
             values: List[Optional[int]] = [None] * len(requests)
             cycles: List[int] = [0] * len(requests)
             for idx, req in enumerate(requests):
-                chain = _modexp_chain(req.base, req.exponent, ctx.r2_mod_n)
-                x, y = next(chain)
+                chain = modexp_chain(req.base, req.exponent, ctx.r2_mod_n)
+                _, x, y = next(chain)
                 chains[idx] = chain
                 chip.submit(MMMOp(x, y, n, tag=idx))
             # Generous drain bound: every chain multiplication in sequence
@@ -246,7 +227,7 @@ class ChipBackend(ModExpBackend):
                     cycles[idx] += outcome.cycles
                     chain = chains[idx]
                     try:
-                        x, y = chain.send(product)
+                        _, x, y = chain.send(product)
                     except StopIteration as fin:
                         values[idx] = fin.value % n
                         del chains[idx]

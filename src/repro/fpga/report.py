@@ -65,27 +65,17 @@ def implementation_report(
     l: int,
     mode: str = "paper",
     device: VirtexEDevice = V812E,
-    *,
-    optimize_netlist: bool = False,
 ) -> ImplementationPoint:
     """Elaborate, map and time the full MMMC for bit length ``l``.
 
     ``mode="paper"`` (default here, unlike the simulators) reproduces the
     printed architecture so the area/latency comparison is apples to
     apples; pass ``mode="corrected"`` to cost the fixed design.
-    ``optimize_netlist=True`` runs the constant-fold/CSE/dead-code passes
-    before mapping (the ablation of how much slack our structural
-    elaboration leaves for synthesis).
     """
-    key = (l, mode, device.name, optimize_netlist)
+    key = (l, mode, device.name)
     if key in _CACHE:
         return _CACHE[key]
-    ports = build_mmmc(l, mode=mode)
-    circuit = ports.circuit
-    if optimize_netlist:
-        from repro.hdl.optimize import optimize
-
-        circuit = optimize(circuit).circuit
+    circuit = build_mmmc(l, mode=mode).circuit
     mapped: TechMapResult = technology_map(circuit, device)
     timing: TimingReport = estimate_clock_period(
         circuit, l, device, mapped=mapped

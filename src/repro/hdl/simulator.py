@@ -80,6 +80,9 @@ class Simulator:
         self.circuit = circuit
         self.values: List[int] = [0] * circuit.num_wires
         self.values[circuit.const1.index] = 1
+        # One simulation per wire value; the MMMC cycle loop narrows
+        # ``active_lanes`` on either engine (only the compiled one reads it).
+        self.active_lanes = 1
         self._order = levelize(circuit)
         self.cycle = 0
         # Gate logic depth (1 = directly fed by registers/inputs/constants).
@@ -132,6 +135,19 @@ class Simulator:
         for i, w in enumerate(bus):
             self.values[w.index] = (value >> i) & 1
 
+    def poke_words(self, bus: Sequence[Wire], words: Sequence[int]) -> None:
+        """One-lane form of :meth:`CompiledSimulator.poke_words`.
+
+        ``words[i]`` is bus bit ``i`` (0/1), as ``pack_lanes([value],
+        len(bus))`` returns it.
+        """
+        for w, word in zip(bus, words):
+            self.values[w.index] = word
+
+    def peek_lanes(self, wire_or_bus) -> List[int]:
+        """One-lane form of :meth:`CompiledSimulator.peek_lanes`."""
+        return [self.peek(wire_or_bus)]
+
     def peek(self, wire_or_bus) -> int:
         """Read a wire (0/1) or a bus (little-endian integer)."""
         if isinstance(wire_or_bus, Wire):
@@ -153,14 +169,18 @@ class Simulator:
         idx = tuple(wire_indices)
         return lambda: tuple(vals[i] for i in idx)
 
-    def flip(self, wire: Wire) -> None:
+    def flip(self, wire: Wire, lanes: Optional[Sequence[int]] = None) -> None:
         """Invert one wire's current value (single-event-upset injection).
 
         Meaningful on register Qs between clock edges: the flipped value
         propagates through the next ``settle`` exactly as a particle
         strike on the flip-flop would.  Used by the fault-injection
         campaigns in :mod:`repro.analysis.fault` and the chaos layer.
+        ``lanes`` is the one-lane form of the compiled engine's argument:
+        ``None`` or ``[0]``.
         """
+        if lanes is not None and list(lanes) != [0]:
+            raise SimulationError(f"lanes {list(lanes)} out of range [0, 1)")
         self.values[wire.index] ^= 1
 
     # ------------------------------------------------------------------

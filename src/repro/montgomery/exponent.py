@@ -1,14 +1,24 @@
 """Algorithm 3: modular exponentiation by square-and-multiply.
 
 Implements the paper's left-to-right square-and-multiply exponentiation both
-as a plain modular algorithm (:func:`modexp_square_multiply`) and in the
-Montgomery domain exactly as the exponentiator circuit schedules it
-(:func:`montgomery_modexp`):
+as a plain modular algorithm (:func:`modexp_square_multiply`, the
+independent reference) and in the Montgomery domain exactly as the
+exponentiator circuit schedules it:
 
 1. pre-processing — Mont(M, R² mod N) maps the message into the domain;
 2. the scan of the exponent from bit ``t-2`` downward, squaring every step
    and multiplying when the bit is 1;
 3. post-processing — Mont(A, 1) strips the R factor.
+
+That Montgomery-domain schedule is written once, as the coroutine
+:func:`modexp_chain`: it yields each multiplication's ``(kind, x, y)`` and
+receives the product.  :func:`run_chain` drives it with one multiplier
+call at a time; every engine that runs Algorithm 3 does so through it —
+:func:`montgomery_modexp` here, the systolic
+:class:`~repro.systolic.exponentiator.ModularExponentiator`, the serving
+backends (the netlist backends with one list of operands per lane), the
+chip backend (which interleaves many chains), the Algorithm 1 side-channel
+trace and the overlapped-issue cycle model.
 
 :func:`montgomery_modexp` also returns an :class:`ExponentiationTrace`
 recording every multiplication performed (kind, operands) plus the paper's
@@ -19,7 +29,7 @@ validated against it operation by operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Any, Callable, Generator, List, Tuple
 
 from repro.errors import ParameterError
 from repro.montgomery.algorithms import montgomery_no_subtraction
@@ -27,6 +37,10 @@ from repro.montgomery.params import MontgomeryContext
 from repro.utils.validation import ensure_positive
 
 __all__ = [
+    "Chain",
+    "modexp_chain",
+    "run_chain",
+    "chain_kinds",
     "modexp_square_multiply",
     "montgomery_modexp",
     "montgomery_modexp_rtl",
@@ -77,6 +91,47 @@ class ExponentiationTrace:
         return len(self.operations)
 
 
+#: Algorithm 3 as a coroutine: yields ``(kind, x, y)``, receives the product.
+Chain = Generator[Tuple[str, Any, Any], Any, Any]
+
+
+def modexp_chain(base: Any, exponent: int, r2: Any, one: Any = 1) -> Chain:
+    """The Montgomery-domain Algorithm 3 schedule, one multiplication per yield.
+
+    Yields ``(kind, x, y)`` with ``kind`` one of ``"pre"`` (Mont(M, R²)),
+    ``"square"``, ``"multiply"`` (by the standing M·R) and ``"post"``
+    (Mont(A, 1)); the driver sends back Mont(x, y) and the chain returns
+    the last product.  Operands are opaque to the schedule: ints for one
+    exponentiation, or one list per operand (one entry per lane) for a
+    lock-step lane sweep, with ``one`` the post-multiplication's 1 in the
+    same shape.  The caller validates ``exponent >= 1``.
+    """
+    m_bar = yield ("pre", base, r2)
+    a = m_bar
+    for i in reversed(range(exponent.bit_length() - 1)):
+        a = yield ("square", a, a)
+        if (exponent >> i) & 1:
+            a = yield ("multiply", a, m_bar)
+    return (yield ("post", a, one))
+
+
+def run_chain(chain: Chain, mont: Callable[[str, Any, Any], Any]) -> Any:
+    """Drive ``chain`` to its end, one ``mont(kind, x, y)`` call per product."""
+    step = next(chain)
+    while True:
+        try:
+            step = chain.send(mont(*step))
+        except StopIteration as fin:
+            return fin.value
+
+
+def chain_kinds(exponent: int) -> List[str]:
+    """The multiplication kinds :func:`modexp_chain` issues for ``exponent``."""
+    kinds: List[str] = []
+    run_chain(modexp_chain(0, exponent, 0), lambda kind, x, y: kinds.append(kind))
+    return kinds
+
+
 def modexp_square_multiply(base: int, exponent: int, modulus: int) -> int:
     """Algorithm 3 verbatim: left-to-right binary square-and-multiply.
 
@@ -119,14 +174,7 @@ def montgomery_modexp(
         trace.operations.append(MultOp(kind=kind, x=x, y=y, result=r))
         return r
 
-    # Pre-processing: M -> M·R (mod N), up to the 2N window.
-    m_bar = mont("pre", message, ctx.r2_mod_n)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = mont("square", a, a)
-        if (exponent >> i) & 1:
-            a = mont("multiply", a, m_bar)
-    result = mont("post", a, 1)
+    result = run_chain(modexp_chain(message, exponent, ctx.r2_mod_n), mont)
     return result % ctx.modulus, trace
 
 

@@ -27,8 +27,8 @@ Two cheaper invariants complement the recompute:
 * **Walter bound** — every Montgomery product computed with
   ``R = 2^(l+2) > 4N`` satisfies ``T < 2N`` (the paper's Sect. 3 bound
   that makes the final subtraction unnecessary).
-  :func:`walter_bound_ok` is checked on intermediate MMM outputs inside
-  the backends' square-and-multiply loops.
+  :func:`walter_bound_ok` is checked on intermediate MMM outputs as the
+  backends drive their Algorithm 3 chains.
 """
 
 from __future__ import annotations

@@ -9,6 +9,13 @@ as interchangeable :class:`ModExpBackend` implementations, each declaring
 counts are measured or modelled, whether it is safe to ship to process
 workers) and a cost model the batch scheduler orders dispatch by.
 
+Every backend that issues Montgomery products runs the one Algorithm 3
+chain, :func:`~repro.montgomery.exponent.modexp_chain`, with its own
+multiplier.  The two netlist names, ``rtl`` and ``gate``, differ only in
+their registered capabilities: both run every request — lone, lane group
+or chaos register fault — through one routine,
+:meth:`_NetlistBackend._exponentiate`.
+
 All backends receive each request's pre-computed
 :class:`~repro.montgomery.params.MontgomeryContext`, derived once per
 distinct ``(modulus, l)`` per coalescing round, never per request (see
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultDetected, ParameterError
+from repro.montgomery.exponent import chain_kinds, modexp_chain, run_chain
 from repro.montgomery.params import (
     MontgomeryContext,
     precompute_montgomery_constants,
@@ -171,37 +179,22 @@ class ModExpBackend(ABC):
         return [self.execute(ctx, request) for ctx, request in zip(contexts, requests)]
 
 
-def _square_multiply(
-    mont, ctx_r2: int, base: int, exponent: int, n: Optional[int] = None
-) -> int:
-    """Algorithm 3 over an arbitrary Montgomery-multiply callable.
+def _walter_checked(t: int, n: int, lane: Optional[int] = None) -> int:
+    """``t``, once it passes Walter's ``T < 2N`` bound for modulus ``n``.
 
-    ``mont(x, y)`` must compute ``x·y·R⁻¹ mod N`` for whatever ``R`` the
-    backend uses; ``ctx_r2`` is ``R² mod N`` in the same convention.
-    When ``n`` is given, every intermediate product is checked against
-    Walter's ``T < 2N`` bound — the invariant the paper's ``R > 4N``
-    choice guarantees — so a register upset that pushes a product out of
+    The invariant the paper's ``R > 4N`` choice guarantees for every
+    intermediate product; a register upset that pushes a product out of
     range fails loudly (:class:`~repro.errors.FaultDetected`) in the
     worker instead of propagating into a silently wrong result.
     """
-
-    def step(x: int, y: int) -> int:
-        t = mont(x, y)
-        if n is not None and not walter_bound_ok(t, n):
-            raise FaultDetected(
-                f"Montgomery product {t} outside [0, {2 * n}) — Walter "
-                "T < 2N invariant violated mid-exponentiation",
-                check="walter-bound",
-            )
-        return t
-
-    m_bar = step(base, ctx_r2)
-    a = m_bar
-    for i in reversed(range(exponent.bit_length() - 1)):
-        a = step(a, a)
-        if (exponent >> i) & 1:
-            a = step(a, m_bar)
-    return step(a, 1)
+    if not walter_bound_ok(t, n):
+        where = "" if lane is None else f"lane {lane}: "
+        raise FaultDetected(
+            f"{where}Montgomery product {t} outside [0, {2 * n}) — Walter "
+            "T < 2N invariant violated mid-exponentiation",
+            check="walter-bound",
+        )
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -287,26 +280,27 @@ class CRTBackend(ModExpBackend):
 
 
 class _NetlistBackend(ModExpBackend):
-    """Shared machinery of the two netlist-simulation backends.
+    """The gate-level MMMC netlist backend: one routine for every request.
 
-    Each operand width gets one elaborated :class:`GateLevelMMMC`, reused
-    across requests — a scalar instance for :meth:`execute` and one
-    instance per lane word (:meth:`sweep_lanes`) for the bit-sliced
-    :meth:`execute_many` path.  All run the compiled kernel engine and
-    share one codegen'd kernel through the structural-key cache (lane
-    count is bound per simulator, not per kernel).  The simulators are
-    stateful, so a lock keeps concurrent callers from interleaving
-    multiplications on one instance.
+    Each ``(l, lanes)`` gets one elaborated :class:`GateLevelMMMC` on the
+    compiled kernel engine, reused across requests; every instance shares
+    one codegen'd kernel through the structural-key cache (lane count is
+    bound per simulator, not per kernel).  :meth:`_exponentiate` runs a
+    lone request, a same-exponent lane group and the chaos register-fault
+    path alike: the Algorithm 3 chain
+    (:func:`~repro.montgomery.exponent.modexp_chain`) over one
+    :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_lanes`
+    sweep per multiplication, with the Walter ``T < 2N`` bound checked on
+    every product of every lane and the measured cycles checked against
+    :func:`~repro.systolic.timing.exponentiation_cycles_measured_model`
+    once per group.  The simulators are stateful, so a lock keeps
+    concurrent callers from interleaving multiplications on one instance.
     """
-
-    #: netlist simulator engine for the cached instances
-    simulator = "compiled"
 
     def __init__(self) -> None:
         import threading
 
-        self._scalar: Dict[int, object] = {}
-        self._vector: Dict[Tuple[int, int], object] = {}
+        self._mmmcs: Dict[Tuple[int, int], object] = {}
         self._lock = threading.Lock()
 
     def sweep_lanes(self, k: int) -> int:
@@ -322,62 +316,77 @@ class _NetlistBackend(ModExpBackend):
         return min(-(-k // 64) * 64, self.capabilities.lanes)
 
     def _mmmc(self, l: int, lanes: int = 1):
-        cache, key = (self._scalar, l) if lanes <= 1 else (self._vector, (l, lanes))
-        inst = cache.get(key)
+        inst = self._mmmcs.get((l, lanes))
         if inst is None:
             from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-            inst = cache[key] = GateLevelMMMC(
-                l, simulator=self.simulator, lanes=max(lanes, 1)
+            inst = self._mmmcs[l, lanes] = GateLevelMMMC(
+                l, simulator="compiled", lanes=lanes
             )
         return inst
 
-    def _execute_lanes(
-        self, contexts: List[MontgomeryContext], requests: List[ModExpRequest]
+    def _exponentiate(
+        self,
+        contexts: List[MontgomeryContext],
+        requests: List[ModExpRequest],
+        fault=None,
     ) -> List[BackendResult]:
-        """One square-and-multiply schedule, K bases as bit-sliced lanes.
+        """One square-and-multiply schedule, K requests as bit-sliced lanes.
 
         Lane ``k`` runs ``requests[k]`` under its own ``contexts[k]``:
         the netlist loads ``N`` per lane, and the ``R² mod N`` operand,
         the Walter bound and the final reduction are per lane too.
+        ``fault = (index, site)`` arms a register fault for the
+        multiplication numbered ``index`` (0-based, in chain order).
         Caller holds ``self._lock`` and guarantees every request shares
         the exponent and ``l`` (the lanes advance in lock-step through
         one ``l``-bit array, so the multiplication schedule must be
         common).
         """
+        from repro.systolic.exponentiator import check_cycles
+        from repro.systolic.timing import exponentiation_cycles_measured_model
+
         l = contexts[0].l
         assert all(ctx.l == l for ctx in contexts), "a lane sweep needs one l"
         ns = [ctx.modulus for ctx in contexts]
         exponent = requests[0].exponent
-        gate = self._mmmc(l, self.sweep_lanes(len(requests)))
+        # A lone request runs on the one-lane instance: no lane padding
+        # and no lane-fill samples.
+        k = len(requests)
+        gate = self._mmmc(l, self.sweep_lanes(k) if k > 1 else 1)
         cycles = 0
+        issued = 0
 
-        def mont(xs: List[int], ys: List[int]) -> List[int]:
-            nonlocal cycles
+        def mont(kind: str, xs: List[int], ys: List[int]) -> List[int]:
+            nonlocal cycles, issued
+            if fault is not None and issued == fault[0]:
+                gate.schedule_fault(fault[1])
+            issued += 1
             runs = gate.multiply_lanes(xs, ys, ns)
             cycles += runs[0].cycles  # lock-step: every lane pays the same
-            for k, (r, n) in enumerate(zip(runs, ns)):
-                if not walter_bound_ok(r.result, n):
-                    raise FaultDetected(
-                        f"lane {k}: Montgomery product {r.result} outside "
-                        f"[0, {2 * n}) — Walter T < 2N invariant violated",
-                        check="walter-bound",
-                    )
-            return [r.result for r in runs]
+            return [
+                _walter_checked(run.result, n, lane)
+                for lane, (run, n) in enumerate(zip(runs, ns))
+            ]
 
-        m_bar = mont([r.base for r in requests], [ctx.r2_mod_n for ctx in contexts])
-        a = m_bar
-        for i in reversed(range(exponent.bit_length() - 1)):
-            a = mont(a, a)
-            if (exponent >> i) & 1:
-                a = mont(a, m_bar)
-        a = mont(a, [1] * len(requests))
-        return [BackendResult(v % n, cycles) for v, n in zip(a, ns)]
+        chain = modexp_chain(
+            [r.base for r in requests],
+            exponent,
+            [ctx.r2_mod_n for ctx in contexts],
+            one=[1] * k,
+        )
+        values = run_chain(chain, mont)
+        check_cycles(cycles, exponentiation_cycles_measured_model(l, exponent).total)
+        return [BackendResult(v % n, cycles) for v, n in zip(values, ns)]
+
+    def execute(self, ctx, request):
+        with self._lock:
+            return self._exponentiate([ctx], [request])[0]
 
     def execute_with_register_fault(self, ctx, request, rng):
         """Chaos hook: one seeded register bit flip mid-exponentiation.
 
-        Runs the request on the width's scalar netlist instance with a
+        Runs the request on the width's one-lane netlist instance with a
         single-event upset scheduled into one randomly chosen
         multiplication (register class, bit and cycle drawn from
         ``rng``).  The flip may be masked (shadow-phase state), detected
@@ -387,38 +396,17 @@ class _NetlistBackend(ModExpBackend):
         """
         from repro.analysis.fault import REGISTER_CLASSES, FaultSite
 
-        n = ctx.modulus
         l = ctx.l
         reg_class = rng.choice(REGISTER_CLASSES)
-        cycles = 0
-        mults = 0
         with self._lock:
-            gate = self._mmmc(l)
-            widths = {r: len(ws) for r, ws in gate.fault_sites().items()}
+            width = len(self._mmmc(l).fault_sites()[reg_class])
             site = FaultSite(
                 cycle=rng.randrange(3 * l + 4),
                 register=reg_class,
-                index=rng.randrange(widths[reg_class]),
+                index=rng.randrange(width),
             )
-            # Total mont calls of the square-and-multiply schedule below:
-            # conversion + squarings + multiplies + de-conversion.
-            e = request.exponent
-            total = 1 + (e.bit_length() - 1) + (bin(e).count("1") - 1) + 1
-            target = rng.randrange(total)
-
-            def mont(x: int, y: int) -> int:
-                nonlocal cycles, mults
-                if mults == target:
-                    gate.schedule_fault(site)
-                mults += 1
-                rec = gate.multiply(x, y, n)
-                cycles += rec.cycles
-                return rec.result
-
-            value = _square_multiply(
-                mont, ctx.r2_mod_n, request.base, request.exponent, n=n
-            )
-        return BackendResult(value % n, cycles)
+            target = rng.randrange(len(chain_kinds(request.exponent)))
+            return self._exponentiate([ctx], [request], fault=(target, site))[0]
 
     def execute_many(self, contexts, requests):
         lanes = max(self.capabilities.lanes, 1)
@@ -429,34 +417,25 @@ class _NetlistBackend(ModExpBackend):
         for members in groups.values():
             for lo in range(0, len(members), lanes):
                 chunk = members[lo : lo + lanes]
-                if len(chunk) == 1:
-                    i = chunk[0]
-                    results[i] = self.execute(contexts[i], requests[i])
-                else:
-                    with self._lock:
-                        outs = self._execute_lanes(
-                            [contexts[i] for i in chunk],
-                            [requests[i] for i in chunk],
-                        )
-                    for i, out in zip(chunk, outs):
-                        results[i] = out
+                with self._lock:
+                    outs = self._exponentiate(
+                        [contexts[i] for i in chunk], [requests[i] for i in chunk]
+                    )
+                for i, out in zip(chunk, outs):
+                    results[i] = out
         return results
 
 
 class RTLBackend(_NetlistBackend):
     """Cycle-accurate systolic MMMC model (the paper's datapath).
 
-    Runs the full exponentiator protocol — pre/scan/post with the
-    measured-vs-model cycle cross-check — over the gate-level netlist
-    twin on compiled kernels by default (``engine="gate"``), which the
-    equivalence suite proves cycle- and bit-identical to the behavioral
-    model.  Same-exponent groups of up to 256 requests of one width, under
-    any mix of moduli, run as one bit-sliced sweep per multiplication
-    (:meth:`execute_many`) on a lane word of the group size rounded up to
-    a multiple of 64 (:meth:`sweep_lanes`).
-    ``engine="rtl"`` falls back to the behavioral
-    :class:`~repro.systolic.mmmc.MMMC` (needed e.g. for controller state
-    traces, which the netlist twin does not log).
+    The gate-level netlist twin on compiled kernels, which the equivalence
+    suite proves cycle- and bit-identical to the behavioral
+    :class:`~repro.systolic.mmmc.MMMC`, run through the one netlist
+    routine (:meth:`_NetlistBackend._exponentiate`).  Same-exponent
+    groups of up to 256 requests of one width, under any mix of moduli,
+    run as one bit-sliced sweep per multiplication on a lane word of the
+    group size rounded up to a multiple of 64 (:meth:`sweep_lanes`).
     """
 
     name = "rtl"
@@ -469,50 +448,13 @@ class RTLBackend(_NetlistBackend):
     )
     wall_weight = 200.0
 
-    def __init__(self, engine: str = "gate") -> None:
-        from dataclasses import replace
-
-        super().__init__()
-        if engine not in ("gate", "rtl"):
-            raise ParameterError(f"unknown rtl-backend engine {engine!r}")
-        self.engine = engine
-        if engine == "rtl":
-            # Behavioral fallback: no netlist, no lane packing.
-            self.capabilities = replace(
-                self.capabilities,
-                description="cycle-accurate behavioral MMMC + controller",
-                lanes=1,
-            )
-
-    def _multiplier(self, l: int):
-        if self.engine == "gate":
-            return self._mmmc(l)
-        inst = self._scalar.get(l)
-        if inst is None:
-            from repro.systolic.mmmc import MMMC
-
-            inst = self._scalar[l] = MMMC(l)
-        return inst
-
-    def execute(self, ctx, request):
-        from repro.systolic.exponentiator import ModularExponentiator
-
-        with self._lock:
-            run = ModularExponentiator(
-                ctx, engine=self.engine, multiplier=self._multiplier(ctx.l)
-            ).exponentiate(request.base, request.exponent)
-        return BackendResult(run.result, run.cycles)
-
 
 class GateLevelBackend(_NetlistBackend):
     """Gate-level netlist simulation of the MMMC, every gate evaluated.
 
-    The most faithful tier — every AND gate of every cell is evaluated —
-    so the width ceiling stays tiny even though the compiled kernel
-    engine (the default) recovers most of the interpreter overhead and
-    runs same-exponent groups of up to 256 requests as one lane sweep
-    (64, 128, 192 or 256 lanes).  ``simulator="interpreted"`` is the
-    pre-codegen path, kept for differential debugging (scalar only).
+    The same netlist and routine as ``rtl``, registered as the most
+    faithful tier — every AND gate of every cell is evaluated — so the
+    width ceiling stays tiny and the scheduling weight high.
     """
 
     name = "gate"
@@ -523,42 +465,10 @@ class GateLevelBackend(_NetlistBackend):
         simulator=True,
         lanes=256,
     )
-    # Scheduling weight per modelled cycle (the interpreted simulator's is
-    # 20000).  The compiled MMMC kernel now runs 26-37x faster than the
-    # interpreter single-lane (cell-sliced), far more than this ratio says,
-    # but still far above the big-int paths; the weight is kept as it was.
+    # Scheduling weight per modelled cycle.  The compiled MMMC kernel runs
+    # 26-37x faster than the interpreted simulator single-lane
+    # (cell-sliced), but still far above the big-int paths.
     wall_weight = 3000.0
-
-    def __init__(self, simulator: str = "compiled") -> None:
-        from dataclasses import replace
-
-        super().__init__()
-        self.simulator = simulator
-        if simulator != "compiled":
-            # Lane packing is a compiled-kernel feature.
-            self.capabilities = replace(
-                self.capabilities,
-                description="gate-level MMMC netlist co-simulation, interpreted",
-                lanes=1,
-            )
-            self.wall_weight = 20000.0
-
-    def execute(self, ctx, request):
-        n = ctx.modulus
-        cycles = 0
-        with self._lock:
-            gate = self._mmmc(ctx.l)
-
-            def mont(x: int, y: int) -> int:
-                nonlocal cycles
-                rec = gate.multiply(x, y, n)
-                cycles += rec.cycles
-                return rec.result
-
-            value = _square_multiply(
-                mont, ctx.r2_mod_n, request.base, request.exponent, n=n
-            )
-        return BackendResult(value % n, cycles)
 
 
 class HighRadixBackend(ModExpBackend):
@@ -598,12 +508,12 @@ class HighRadixBackend(ModExpBackend):
         r2 = (params.R * params.R) % n
         mults = 0
 
-        def mont(x: int, y: int) -> int:
+        def mont(kind: str, x: int, y: int) -> int:
             nonlocal mults
             mults += 1
-            return mont_mul_cios(params, x, y)
+            return _walter_checked(mont_mul_cios(params, x, y), n)
 
-        value = _square_multiply(mont, r2, request.base, request.exponent, n=n)
+        value = run_chain(modexp_chain(request.base, request.exponent, r2), mont)
         cycles = HighRadixModel(ctx.l, self.word_bits).mmm_cycles * mults
         return BackendResult(value % n, cycles)
 
@@ -645,12 +555,12 @@ class ScalableBackend(ModExpBackend):
         r2 = (r1 * r1) % n
         mults = 0
 
-        def mont(x: int, y: int) -> int:
+        def mont(kind: str, x: int, y: int) -> int:
             nonlocal mults
             mults += 1
-            return scalable_montgomery(ctx, x, y, self.word)
+            return _walter_checked(scalable_montgomery(ctx, x, y, self.word), n)
 
-        value = _square_multiply(mont, r2, request.base, request.exponent, n=n)
+        value = run_chain(modexp_chain(request.base, request.exponent, r2), mont)
         cycles = scalable_mmm_cycles(ctx.l, self.word, self.stages) * mults
         return BackendResult(value % n, cycles)
 

@@ -21,9 +21,14 @@ multiplications to an engine:
 
 The operation sequence is exactly the paper's: pre-multiplication by
 ``R² mod N`` (into the Montgomery domain), the left-to-right binary scan,
-and the final multiplication by 1 (out of the domain).  No intermediate
-value is ever reduced — everything lives in the ``[0, 2N)`` window, which
-is the point of the no-subtraction bound.
+and the final multiplication by 1 (out of the domain).  That schedule is
+the one Algorithm 3 chain, :func:`~repro.montgomery.exponent.modexp_chain`,
+which :meth:`ModularExponentiator.exponentiate` drives with
+:func:`~repro.montgomery.exponent.run_chain`.  No intermediate value is
+ever reduced — everything lives in the ``[0, 2N)`` window, which is the
+point of the no-subtraction bound.  :func:`check_cycles` is the
+measured-versus-model cross-check, shared with the netlist serving
+backend.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import List, Tuple
 
 from repro.errors import ParameterError
 from repro.montgomery.algorithms import montgomery_no_subtraction
+from repro.montgomery.exponent import modexp_chain, run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS
 from repro.systolic.mmmc import MMMC
@@ -42,7 +48,13 @@ from repro.systolic.timing import (
     mmm_cycles_corrected,
 )
 
-__all__ = ["ModularExponentiator", "ExponentiationRun"]
+__all__ = ["ModularExponentiator", "ExponentiationRun", "check_cycles"]
+
+
+def check_cycles(measured: int, expected: int) -> None:
+    """Fail when a multiplier's measured cycles disagree with the cost model."""
+    if measured != expected:
+        raise AssertionError(f"measured {measured} cycles, cost model says {expected}")
 
 
 @dataclass
@@ -70,11 +82,11 @@ class ModularExponentiator:
         (gate-level netlist twin on compiled kernels) or ``"golden"``
         (big-integer arithmetic with the RTL cycle accounting).
     multiplier:
-        Optional pre-built hardware multiplier (a behavioral ``MMMC`` or a
-        ``GateLevelMMMC``) to use instead of constructing one.  Lets the
-        serving backends reuse one elaborated netlist across requests; it
-        must match ``ctx.l`` and ``mode``.  Only valid with a hardware
-        engine (``"rtl"`` / ``"gate"``).
+        Optional pre-built hardware multiplier (a behavioral ``MMMC``, a
+        ``GateLevelMMMC`` or anything with their ``multiply(x, y, n)``) to
+        use instead of constructing one, e.g. an instrumented one in a
+        test; it must match ``ctx.l`` and ``mode``.  Only valid with a
+        hardware engine (``"rtl"`` / ``"gate"``).
     """
 
     def __init__(
@@ -104,6 +116,10 @@ class ModularExponentiator:
             self.mmmc = GateLevelMMMC(ctx.l, mode=mode, simulator="compiled")
         else:
             self.mmmc = MMMC(ctx.l, mode=mode)
+        # Modelled cycles of one multiplication in this mode.
+        self._op_cycles = (
+            mmm_cycles_corrected(ctx.l) if mode == "corrected" else mmm_cycles(ctx.l)
+        )
         self.cycles = 0
 
     @classmethod
@@ -128,12 +144,6 @@ class ModularExponentiator:
         return cls(precompute_montgomery_constants(modulus, l), engine, mode=mode)
 
     # ------------------------------------------------------------------
-    def _op_cycles(self) -> int:
-        """Modelled cycles of one multiplication in this mode."""
-        if self.mode == "corrected":
-            return mmm_cycles_corrected(self.ctx.l)
-        return mmm_cycles(self.ctx.l)
-
     def _mont(self, kind: str, x: int, y: int, run: ExponentiationRun) -> int:
         n = self.ctx.modulus
         observed = OBS.enabled
@@ -144,7 +154,7 @@ class ModularExponentiator:
             value, cost = rec.result, rec.cycles
         else:
             value = montgomery_no_subtraction(self.ctx, x, y)
-            cost = self._op_cycles()
+            cost = self._op_cycles
             if observed:
                 # The golden engine skips the RTL, so the trace clock
                 # advances by the modelled cost in one jump.
@@ -181,30 +191,20 @@ class ModularExponentiator:
                 engine=self.engine,
                 exponent_bits=exponent.bit_length(),
             )
-        # Pre-processing: into the Montgomery domain.
-        m_bar = self._mont("pre", message, ctx.r2_mod_n, run)
-        a = m_bar
-        # Left-to-right binary scan (Algorithm 3), MSB implicit.
-        for i in reversed(range(exponent.bit_length() - 1)):
-            a = self._mont("square", a, a, run)
-            if (exponent >> i) & 1:
-                a = self._mont("multiply", a, m_bar, run)
-        # Post-processing: out of the domain (Mont(A, 1) <= N).
-        a = self._mont("post", a, 1, run)
+        a = run_chain(
+            modexp_chain(message, exponent, ctx.r2_mod_n),
+            lambda kind, x, y: self._mont(kind, x, y, run),
+        )
         run.result = a % ctx.modulus
         self.cycles += run.cycles
         if OBS.enabled:
             OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)
-        # Cross-check the measurement against the closed-form model.
-        expected = exponentiation_cycles_measured_model(
-            ctx.l, exponent, mode=self.mode
-        ).total
-        if run.cycles != expected:
-            raise AssertionError(
-                f"measured {run.cycles} cycles, cost model says {expected}"
-            )
+        check_cycles(
+            run.cycles,
+            exponentiation_cycles_measured_model(ctx.l, exponent, mode=self.mode).total,
+        )
         return run
 
     def exponentiate_windowed(
@@ -258,9 +258,5 @@ class ModularExponentiator:
             OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)
-        expected = run.num_multiplications * self._op_cycles()
-        if run.cycles != expected:
-            raise AssertionError(
-                f"measured {run.cycles} cycles, cost model says {expected}"
-            )
+        check_cycles(run.cycles, run.num_multiplications * self._op_cycles)
         return run

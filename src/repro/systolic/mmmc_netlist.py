@@ -39,7 +39,6 @@ from repro.observability.occupancy import schedule_busy_mask
 from repro.systolic.array import ARRAY_MODES
 from repro.systolic.array_netlist import ArrayCore, elaborate_array, make_simulator
 from repro.systolic.mmmc import MMMCRun
-from repro.utils.bits import bits_to_int
 
 __all__ = ["MMMCPorts", "build_mmmc", "GateLevelMMMC"]
 
@@ -187,8 +186,9 @@ class GateLevelMMMC:
     """Gate-level twin of :class:`~repro.systolic.mmmc.MMMC`.
 
     Drives START/operands through the netlist simulator and waits for
-    DONE, measuring the latency in clock cycles.  Used by the equivalence
-    tests (gate MMMC ≡ behavioral MMMC ≡ golden) and the waveform example.
+    DONE, measuring the latency in clock cycles.  Used by the ``rtl`` and
+    ``gate`` serving backends, the equivalence tests (gate MMMC ≡
+    behavioral MMMC ≡ golden) and the waveform example.
     """
 
     def __init__(
@@ -200,7 +200,7 @@ class GateLevelMMMC:
     ) -> None:
         self.ports = build_mmmc(l, mode=mode)
         core = self.ports.core
-        # multiply() observes the overflow carry tap (combinational), the
+        # The cycle loop observes the overflow carry tap (combinational), the
         # controller state bits and the overflow C1 register; watching them
         # keeps them in the value array while every other register stays in
         # the compiled kernel's closure cells.
@@ -228,7 +228,7 @@ class GateLevelMMMC:
         self.mode = mode
         self._top_cell = l + 1 if mode == "corrected" else l
         # One-shot scheduled fault: (cycle, wire, lane_or_None), consumed
-        # by the next multiply/multiply_lanes.  See schedule_fault().
+        # by the next multiplication.  See schedule_fault().
         self._pending_fault = None
         # (moduli, their lane packing) of the last multiply_lanes call: a
         # sweep's lanes keep their keys for a whole exponentiation.
@@ -321,10 +321,7 @@ class GateLevelMMMC:
         return f"bit-flip on {name}{where}"
 
     def _apply_fault(self, wire, lane) -> None:
-        if self.simulator == "compiled":
-            self.sim.flip(wire, lanes=None if lane is None else [lane])
-        else:
-            self.sim.flip(wire)
+        self.sim.flip(wire, lanes=None if lane is None else [lane])
         if OBS.enabled:
             OBS.count("mmmc.faults_injected")
 
@@ -354,97 +351,22 @@ class GateLevelMMMC:
         OBS.counter_event("occupancy.gate", busy, cat="mmmc")
 
     def multiply(self, x: int, y: int, n: int) -> MMMCRun:
-        """Run one multiplication; cycles counted from first MUL to DONE."""
-        p, sim, core = self.ports, self.sim, self.ports.core
-        self._validate(x, y, n)
-        observed = OBS.enabled
-        if observed:
-            # Mirror the behavioral MMMC's span shape so traces captured
-            # through either engine nest identically under the exponentiator.
-            OBS.begin(
-                "mmm", cat="mmmc", l=self.l, mode=self.mode, engine=self.simulator
-            )
-        sim.poke(p.x_in, x)
-        sim.poke(p.y_in, y)
-        sim.poke(p.n_in, n)
-        sim.poke(p.start, 1)
-        sim.step()  # the IDLE/load cycle (not charged, as in the behavioral MMMC)
-        sim.poke(p.start, 0)
-        cycles = 0
-        mul_cycles = 0  # mirrors the behavioral array's cycle index
-        limit = 4 * self.l + 16
-        vals = sim.values
-        s0_i, s1_i, c1_i = self._s0_i, self._s1_i, self._c1_i
-        step = sim.step
-        pending = self._take_pending_fault()
-        hub, rec, sampler = self._arm_recorder()
-        if rec is not None:
-            # Operands make the dump differentially re-runnable: a clean
-            # multiply(x, y, n) on the same engine replays the window.
-            rec.meta.update(x=x, y=y, n=n)
-        while cycles < limit:
-            # Pre-edge register reads (state, overflow C1) happen before the
-            # fused step; combinational taps (carry, DONE) are settled from
-            # those same pre-edge values and stay valid after it.
-            in_mul = (vals[s0_i] ^ vals[s1_i]) & 1
-            c1 = (vals[c1_i] & 1) if in_mul else 0
-            step()
-            if pending is not None and cycles == pending[0]:
-                self._apply_fault(pending[1], pending[2])
-                if rec is not None:
-                    rec.notify_fault(
-                        cycles, self._fault_cause(pending[1], pending[2]), lane=0
-                    )
-                pending = None
-            if rec is not None and rec.wants_sample(cycles):
-                rec.sample(cycles, sampler())
-            if (
-                c1
-                and core.productive(mul_cycles)
-                and vals[self._carry_i] & 1
-            ):
-                if rec is not None:
-                    rec.notify_fault(cycles, core.overflow_message(mul_cycles))
-                    hub.emit(rec, cycles=cycles)
-                sim.reset()  # leave the instance reusable after the raise
-                raise SimulationError(core.overflow_message(mul_cycles))
-            done = vals[self._done_i] & 1
-            cycles += 1
-            if in_mul:
-                if observed:
-                    self._sample_occupancy(mul_cycles)
-                mul_cycles += 1
-            if observed:
-                OBS.tick()
-            if done:
-                if rec is not None:
-                    hub.emit(rec, cycles=cycles)
-                if observed:
-                    OBS.count("mmmc.multiplications")
-                    OBS.record("mmmc.multiplication_cycles", cycles)
-                    OBS.end(cycles=cycles)
-                return MMMCRun(
-                    result=bits_to_int([sim.peek(w) for w in p.result]),
-                    cycles=cycles,
-                    state_sequence=[],
-                )
-        if rec is not None:
-            hub.emit(rec, cycles=cycles)
-        raise ParameterError(f"DONE did not rise within {limit} cycles")
+        """Run one multiplication (lane 0 of :meth:`multiply_lanes`)."""
+        return self.multiply_lanes([x], [y], [n])[0]
 
     def multiply_lanes(self, xs, ys, ns) -> List[MMMCRun]:
         """Run up to ``lanes`` multiplications in one bit-sliced sweep.
 
-        The controller is data-independent, so every lane shares the same
-        START/MUL/DONE schedule; each wire carries the K lanes as bits of
-        one int and the compiled kernels evaluate them simultaneously.
-        Short batches are padded by replicating the last operand set (the
-        padding lanes' results are discarded).
+        The one cycle loop of the netlist twin, on either simulator (a
+        one-lane instance is the scalar multiplier).  The controller is
+        data-independent, so every lane shares the same START/MUL/DONE
+        schedule; each wire carries the K lanes as bits of one int and the
+        compiled kernels evaluate them simultaneously.  Cycles are counted
+        from the first MUL cycle to DONE.  Short batches are padded by
+        replicating the last operand set (the padding lanes' results are
+        discarded).  Lane metrics (``hdl.lane_fill`` and friends) are
+        recorded on multi-lane instances only.
         """
-        if self.lanes < 2 or self.simulator != "compiled":
-            raise ParameterError(
-                "multiply_lanes requires GateLevelMMMC(..., simulator='compiled', lanes=K)"
-            )
         if not (0 < len(xs) <= self.lanes) or not (len(xs) == len(ys) == len(ns)):
             raise ParameterError(
                 f"batch of {len(xs)}/{len(ys)}/{len(ns)} operands does not fit "
@@ -458,21 +380,26 @@ class GateLevelMMMC:
         ys = list(ys) + [ys[-1]] * pad
         ns = list(ns) + [ns[-1]] * pad
         p, sim, core = self.ports, self.sim, self.ports.core
+        laned = self.lanes > 1
         observed = OBS.enabled
         if observed:
-            OBS.count("hdl.lanes_packed", used)
-            OBS.record("hdl.lane_fill", used, lanes=self.lanes)
-            OBS.counter_event("occupancy.lanes", used, cat="mmmc")
             # One span covers the whole sweep: K multiplications advance in
             # lock-step, so the trace shows one "mmm" segment with a lanes=
-            # attribute rather than K overlapping copies.
+            # attribute rather than K overlapping copies.  A one-lane span
+            # has the behavioral MMMC's shape, so traces captured through
+            # either engine nest identically under the exponentiator.
+            span = {"lanes": used} if laned else {}
+            if laned:
+                OBS.count("hdl.lanes_packed", used)
+                OBS.record("hdl.lane_fill", used, lanes=self.lanes)
+                OBS.counter_event("occupancy.lanes", used, cat="mmmc")
             OBS.begin(
                 "mmm",
                 cat="mmmc",
                 l=self.l,
                 mode=self.mode,
                 engine=self.simulator,
-                lanes=used,
+                **span,
             )
         # Pack each distinct operand set once: a squaring drives one packing
         # onto X and Y, and a sweep's moduli keep their packing across calls.
@@ -485,7 +412,7 @@ class GateLevelMMMC:
         sim.poke_words(p.n_in, self._lane_ns[1])
         sim.active_lanes = used  # lane-fill accounting in the compiled engine
         sim.poke(p.start, 1)  # broadcast: every lane starts together
-        sim.step()
+        sim.step()  # the IDLE/load cycle (not charged, as in the behavioral MMMC)
         sim.poke(p.start, 0)
         cycles = 0
         mul_cycles = 0
@@ -498,11 +425,19 @@ class GateLevelMMMC:
         lane_hint = pending[2] if pending is not None and pending[2] is not None else 0
         hub, rec, sampler = self._arm_recorder(lane_hint)
         if rec is not None:
-            # Per-lane operands: replaying lane k cleanly is
-            # multiply(xs[k], ys[k], ns[k]) on a scalar instance.
-            rec.meta.update(xs=xs[:used], ys=ys[:used], ns=ns[:used])
+            # Operands make the dump differentially re-runnable: replaying
+            # lane k cleanly is multiply(xs[k], ys[k], ns[k]) on a scalar
+            # instance.
+            if laned:
+                rec.meta.update(xs=xs[:used], ys=ys[:used], ns=ns[:used])
+            else:
+                rec.meta.update(x=xs[0], y=ys[0], n=ns[0])
+        lanes_meta = used if laned else None  # emit() drops None
         while cycles < limit:
-            # MUL1=01 / MUL2=10 means s0 XOR s1 (pre-edge state bits).
+            # Pre-edge register reads (state, overflow C1) happen before the
+            # fused step; combinational taps (carry, DONE) are settled from
+            # those same pre-edge values and stay valid after it.
+            # MUL1=01 / MUL2=10 means s0 XOR s1.
             in_mul = (vals[s0_i] ^ vals[s1_i]) & 1
             c1_word = vals[c1_i] if in_mul else 0  # pre-edge C1 lanes
             sim.step()
@@ -519,21 +454,17 @@ class GateLevelMMMC:
                 rec.sample(cycles, sampler())
             if c1_word and core.productive(mul_cycles):
                 over = vals[carry_i] & c1_word
-                if over:
-                    bad = [k for k in range(used) if (over >> k) & 1]
-                    if bad:
-                        if rec is not None:
-                            rec.notify_fault(
-                                cycles,
-                                f"lanes {bad}: " + core.overflow_message(mul_cycles),
-                                lane=bad[0],
-                            )
-                            hub.emit(rec, cycles=cycles, lanes=used)
-                        sim.reset()  # leave the instance reusable after the raise
-                        sim.active_lanes = self.lanes
-                        raise SimulationError(
-                            f"lanes {bad}: " + core.overflow_message(mul_cycles)
-                        )
+                bad = [k for k in range(used) if (over >> k) & 1] if over else None
+                if bad:
+                    message = core.overflow_message(mul_cycles)
+                    if laned:
+                        message = f"lanes {bad}: " + message
+                    if rec is not None:
+                        rec.notify_fault(cycles, message, lane=bad[0])
+                        hub.emit(rec, cycles=cycles, lanes=lanes_meta)
+                    sim.reset()  # leave the instance reusable after the raise
+                    sim.active_lanes = self.lanes
+                    raise SimulationError(message)
             done = vals[done_i] & 1
             cycles += 1
             if in_mul:
@@ -546,10 +477,11 @@ class GateLevelMMMC:
                 results = sim.peek_lanes(p.result)
                 sim.active_lanes = self.lanes
                 if rec is not None:
-                    hub.emit(rec, cycles=cycles, lanes=used)
+                    hub.emit(rec, cycles=cycles, lanes=lanes_meta)
                 if observed:
                     OBS.count("mmmc.multiplications", used)
-                    OBS.count("hdl.wasted_lane_cycles", pad * cycles)
+                    if laned:
+                        OBS.count("hdl.wasted_lane_cycles", pad * cycles)
                     OBS.record("mmmc.multiplication_cycles", cycles)
                     OBS.end(cycles=cycles)
                 return [
@@ -558,5 +490,5 @@ class GateLevelMMMC:
                 ]
         sim.active_lanes = self.lanes
         if rec is not None:
-            hub.emit(rec, cycles=cycles, lanes=used)
+            hub.emit(rec, cycles=cycles, lanes=lanes_meta)
         raise ParameterError(f"DONE did not rise within {limit} cycles")

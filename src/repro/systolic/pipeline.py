@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Literal, Tuple
 
 from repro.errors import ParameterError
+from repro.montgomery.exponent import chain_kinds
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -116,6 +117,15 @@ def precomputation_overlapped(l: int) -> int:
     return 2 * (2 * (l + 2) + 1) + l
 
 
+#: How each Algorithm 3 multiplication depends on its predecessor.
+_ISSUE_KIND = {
+    "pre": "independent",  # Mont(M, R^2): operands known
+    "square": "full_drain",  # needs A in parallel
+    "multiply": "stream_x",  # A streams in, M-bar stands
+    "post": "full_drain",  # Mont(A, 1)
+}
+
+
 def exponentiation_cycles_overlapped(l: int, exponent: int) -> Tuple[int, int]:
     """(overlapped, non-overlapped) cycle totals for one exponentiation.
 
@@ -126,13 +136,7 @@ def exponentiation_cycles_overlapped(l: int, exponent: int) -> Tuple[int, int]:
     each (pre independent, post full-drain).
     """
     ensure_positive("exponent", exponent)
-    planner = IssuePlanner(l)
-    planner.add("independent")  # pre: Mont(M, R^2), operands known
-    for i in reversed(range(exponent.bit_length() - 1)):
-        planner.add("full_drain")  # square: needs A in parallel
-        if (exponent >> i) & 1:
-            planner.add("stream_x")  # multiply: A streams in, M-bar stands
-    planner.add("full_drain")  # post: Mont(A, 1)
+    planner = IssuePlanner(l).extend(_ISSUE_KIND[k] for k in chain_kinds(exponent))
     overlapped = planner.total_cycles()
     non_overlapped = planner.operations * (3 * l + 4)
     return overlapped, non_overlapped

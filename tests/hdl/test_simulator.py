@@ -147,3 +147,31 @@ class TestPokePeek:
         sim = Simulator(c)
         with pytest.raises(SimulationError):
             sim.poke(a, 2)
+
+
+class TestOneLaneForms:
+    """The interpreted engine speaks the compiled engine's lane interface
+    for its one lane, so one MMMC cycle loop drives both."""
+
+    def test_poke_words_and_peek_lanes(self):
+        from repro.hdl.compiled import pack_lanes
+
+        c = Circuit()
+        bus = c.add_input("a", 5)
+        sim = Simulator(c)
+        sim.poke_words(bus, pack_lanes([0b10110], 5))
+        assert sim.peek(bus) == 0b10110
+        assert sim.peek_lanes(bus) == [0b10110]
+        assert sim.peek_lanes(bus[1]) == [1]
+
+    def test_flip_takes_lane_zero_only(self):
+        c, q = _toggler()
+        sim = Simulator(c)
+        sim.reset()
+        before = sim.peek(q)
+        sim.flip(q, lanes=[0])
+        assert sim.peek(q) == before ^ 1
+        sim.flip(q)
+        assert sim.peek(q) == before
+        with pytest.raises(SimulationError, match="out of range"):
+            sim.flip(q, lanes=[1])

@@ -162,7 +162,10 @@ class TestServingPostMortem:
 
     def test_interpreted_engine_bundle_replays_divergence(self, tmp_path):
         backend = default_registry().get("gate")
-        backend.simulator = "interpreted"  # per-instance engine override
+        # Register faults run on the width's one-lane instance; seed the
+        # backend's instance cache with an interpreted one (the netlist
+        # cycle loop runs on either simulator).
+        backend._mmmcs[10, 1] = GateLevelMMMC(10, simulator="interpreted")
         results = self._serve(backend, tmp_path, count=20)
         assert all(r.ok for r in results)
         bundles = _bitflip_bundles(tmp_path)

@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.montgomery.exponent import (
+    chain_kinds,
+    modexp_chain,
     modexp_square_multiply,
     montgomery_modexp,
     montgomery_modexp_rtl,
+    run_chain,
 )
 from repro.montgomery.params import MontgomeryContext
+from repro.montgomery.windowed import binary_schedule
 
 from tests.conftest import odd_modulus
 
@@ -121,3 +125,31 @@ class TestRightToLeft:
         result, tr = montgomery_modexp_rtl(ctx, 123, 1)
         assert result == 123
         assert tr.squares == 0
+
+
+class TestChain:
+    """The one Algorithm 3 chain every Montgomery-domain engine drives."""
+
+    @given(st.integers(1, 1 << 80))
+    @settings(max_examples=200, deadline=None)
+    def test_kinds_follow_the_binary_schedule(self, e):
+        loop = {"square": "square", "mult": "multiply"}
+        expected = ["pre"] + [loop[op.kind] for op in binary_schedule(e).ops] + ["post"]
+        assert chain_kinds(e) == expected
+
+    @given(odd_modulus(), st.integers(0), st.integers(1, 1 << 40))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_products_give_the_plain_power(self, n, m_raw, e):
+        """With R = 1 (so R² = 1 and Mont(x, y) = x·y mod N) the chain is
+        plain square-and-multiply, checked against ``pow``."""
+        m = m_raw % n
+        value = run_chain(modexp_chain(m, e, 1), lambda kind, x, y: x * y % n)
+        assert value == pow(m, e, n)
+
+    def test_lane_operands_ride_through_as_lists(self):
+        mods = [7, 11, 13]
+        value = run_chain(
+            modexp_chain([3, 5, 6], 5, [1, 1, 1], one=[1, 1, 1]),
+            lambda kind, xs, ys: [x * y % n for x, y, n in zip(xs, ys, mods)],
+        )
+        assert value == [pow(b, 5, n) for b, n in zip([3, 5, 6], mods)]

@@ -14,10 +14,12 @@ import pytest
 
 from repro.errors import FaultDetected
 from repro.hdl.compiled import clear_kernel_cache
+from repro.montgomery.exponent import chain_kinds
 from repro.montgomery.params import precompute_montgomery_constants
-from repro.observability import MetricsRegistry, observe
+from repro.observability import MetricsRegistry, SpanTracer, observe
 from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import GateLevelBackend, RTLBackend
+from repro.systolic.exponentiator import ModularExponentiator
 from repro.utils.rng import random_odd_modulus
 
 
@@ -36,19 +38,8 @@ def _requests(rng, n, count, exponent=None):
 class TestBackendLanes:
     def test_rtl_defaults_to_compiled_gate_twin(self):
         backend = RTLBackend()
-        assert backend.engine == "gate"
         assert backend.capabilities.lanes == 256
         assert "compiled" in backend.capabilities.description
-
-    def test_rtl_behavioral_fallback_is_scalar(self):
-        backend = RTLBackend(engine="rtl")
-        assert backend.capabilities.lanes == 1
-        assert "behavioral" in backend.capabilities.description
-
-    def test_gate_interpreted_fallback_is_scalar(self):
-        backend = GateLevelBackend(simulator="interpreted")
-        assert backend.capabilities.lanes == 1
-        assert backend.wall_weight > GateLevelBackend().wall_weight
 
     def test_execute_many_groups_by_exponent(self):
         """3+2 requests with two exponents: the 3-group runs as lanes,
@@ -112,16 +103,44 @@ class TestBackendLanes:
 
     def test_lane_group_cycles_match_scalar_execution(self):
         """SLO semantics: a laned request reports the same cycle count
-        the scalar path would have charged it."""
+        the behavioral MMMC charges one exponentiation."""
         rng = random.Random("lanes-cycles")
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
         reqs = _requests(rng, n, 4, exponent=21)
         backend = GateLevelBackend()
         grouped = backend.execute_many([ctx] * len(reqs), reqs)
-        scalar = [backend.execute(ctx, r) for r in reqs]
-        assert [g.value for g in grouped] == [s.value for s in scalar]
+        scalar = [_behavioral(ctx, r) for r in reqs]
+        assert [g.value for g in grouped] == [s.result for s in scalar]
         assert [g.cycles for g in grouped] == [s.cycles for s in scalar]
+
+    def test_lone_request_runs_on_one_lane_without_lane_metrics(self):
+        """A singleton group sweeps no lane word: none of the lane series
+        appear (the profiler's serving.lane_fill_p50 gate reads them)."""
+        rng = random.Random("lanes-lone")
+        n = random_odd_modulus(9, rng)
+        ctx = precompute_montgomery_constants(n)
+        request = _requests(rng, n, 1, exponent=0b101101)[0]
+        backend = RTLBackend()
+        registry, tracer = MetricsRegistry(), SpanTracer()
+        with observe(metrics=registry, tracer=tracer):
+            result = backend.execute_many([ctx], [request])[0]
+        ref = _behavioral(ctx, request)
+        assert (result.value, result.cycles) == (ref.result, ref.cycles)
+        for name in ("hdl.lane_fill", "hdl.lanes_packed", "hdl.wasted_lane_cycles"):
+            assert name not in registry, name
+        events = tracer.to_dict()["traceEvents"]
+        assert not [e for e in events if e.get("name") == "occupancy.lanes"]
+        mmm = [e for e in events if e.get("ph") == "X" and e["name"] == "mmm"]
+        assert len(mmm) == len(chain_kinds(request.exponent))
+        assert not [e for e in mmm if "lanes" in e.get("args", {})]
+
+
+def _behavioral(ctx, request):
+    """The reference run: the behavioral MMMC under the exponentiator."""
+    return ModularExponentiator(ctx, engine="rtl").exponentiate(
+        request.base, request.exponent
+    )
 
 
 def _mixed_modulus_group(rng, moduli, size, exponent):
@@ -152,9 +171,10 @@ class TestMixedModulusLanes:
         # One lane group: every multiplication is one sweep of all lanes.
         fill = registry.histogram("hdl.lane_fill").aggregate()
         assert fill.min == fill.max == size
-        for request, ctx, result in zip(requests, contexts, results):
+        cycles = _behavioral(contexts[0], requests[0]).cycles
+        for request, result in zip(requests, results):
             assert result.value == pow(request.base, 65537, request.modulus)
-            assert result.cycles == backend.execute(ctx, request).cycles
+            assert result.cycles == cycles
 
     def test_walter_bound_is_checked_against_each_lanes_own_modulus(self):
         # Lane 0 runs the small modulus, lane 1 the large one.  A lane-0
@@ -185,6 +205,51 @@ class TestMixedModulusLanes:
             del gate.multiply_lanes
         assert caught.value.check == "walter-bound"
         assert str(2 * small) in str(caught.value)
+
+
+class TestOneRoutineChecks:
+    """Lone requests and lane groups get the same per-product and
+    per-group checks."""
+
+    def test_lone_rtl_request_checks_the_walter_bound(self):
+        n = 0x8001
+        request = ModExpRequest(12345, 17, n, request_id="lone")
+        ctx = precompute_montgomery_constants(n)
+        backend = RTLBackend()
+        gate = backend._mmmc(16)
+        bad = replace(gate.multiply(1, 1, n), result=2 * n)
+        gate.multiply = lambda *_: bad
+        gate.multiply_lanes = lambda *_: [bad]
+        try:
+            with pytest.raises(FaultDetected) as caught:
+                backend.execute(ctx, request)
+        finally:
+            del gate.multiply, gate.multiply_lanes
+        assert caught.value.check == "walter-bound"
+        assert str(2 * n) in str(caught.value)
+
+    def test_lane_group_cross_checks_cycles_against_the_model(self):
+        rng = random.Random("skewed-lanes")
+        n = 0x8001
+        requests = _requests(rng, n, 2, exponent=17)
+        ctx = precompute_montgomery_constants(n)
+        backend = RTLBackend()
+        gate = backend._mmmc(16, backend.sweep_lanes(2))
+        real = gate.multiply_lanes
+        gate.multiply_lanes = lambda xs, ys, ns: [
+            replace(run, cycles=run.cycles + 1) for run in real(xs, ys, ns)
+        ]
+        try:
+            with pytest.raises(AssertionError, match="cost model says"):
+                backend.execute_many([ctx] * 2, requests)
+        finally:
+            del gate.multiply_lanes
+
+
+class _OneLaneGate(GateLevelBackend):
+    """The gate backend declaring no lane packing (``lanes=1``)."""
+
+    capabilities = replace(GateLevelBackend.capabilities, lanes=1)
 
 
 class TestServiceLaneDispatch:
@@ -237,10 +302,40 @@ class TestServiceLaneDispatch:
         reqs = _requests(rng, n, 4, exponent=9)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            backend = GateLevelBackend(simulator="interpreted")
+            backend = _OneLaneGate()
             with ModExpService(backend=backend, max_batch=4) as svc:
                 results = svc.process(reqs)
         for req, res in zip(reqs, results):
             assert res.ok, res
             assert res.value == pow(req.base, req.exponent, n)
         assert registry.counter("hdl.lanes_packed").total() == 0
+
+
+class TestFullLaneWord:
+    """256 same-exponent requests of one width are one batch, one lane
+    group and one compiled kernel, over one modulus or several."""
+
+    @pytest.mark.parametrize("seed, count", [("ci-lanes", 1), ("ci-mixed-lanes", 4)])
+    def test_256_request_batch_is_one_sweep(self, seed, count):
+        rng = random.Random(seed)
+        moduli = []
+        while len(moduli) < count:
+            n = random_odd_modulus(10, rng)
+            if n not in moduli:
+                moduli.append(n)
+        requests = []
+        for i in range(256):
+            n = moduli[i % count]
+            requests.append(ModExpRequest(rng.randrange(n), 257, n, request_id=f"r{i}"))
+        clear_kernel_cache()
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            with ModExpService(backend="gate", max_batch=256) as svc:
+                results = svc.process(requests)
+        for req, res in zip(requests, results):
+            assert res.ok, res
+            assert res.value == pow(req.base, req.exponent, req.modulus), res
+        groups = registry.histogram("serving.lane_group_size").aggregate()
+        assert registry.counter("hdl.compile_cache_misses").total() == 1
+        assert registry.counter("hdl.lanes_packed").total() >= 256
+        assert (groups.count, groups.max) == (1, 256)

@@ -1,9 +1,11 @@
-"""The compiled gate-level MMMC gives the same answers observed or not.
+"""The gate-level MMMC's one cycle loop gives the same answers observed or not.
 
-Under ``observe(...)`` ``multiply`` and ``multiply_lanes`` take their
-per-cycle hooks (occupancy, ticks, spans); with observability off they
-skip them.  Both must agree on every result, every cycle count, the
-simulator's clock, scheduled faults and overflow raises.
+Under ``observe(...)`` ``multiply_lanes`` (and ``multiply``, its lane 0)
+takes its per-cycle hooks (occupancy, ticks, spans); with observability
+off it skips them.  Both must agree on every result, every cycle count,
+the simulator's clock, scheduled faults and overflow raises.  References
+are the closed-form product and the behavioral MMMC, never the netlist
+itself.
 """
 
 import random
@@ -17,6 +19,8 @@ from repro.montgomery.params import MontgomeryContext, precompute_montgomery_con
 from repro.observability import MetricsRegistry, observe
 from repro.serving import ModExpRequest
 from repro.serving.backends import RTLBackend
+from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.mmmc import MMMC
 from repro.systolic.mmmc_netlist import GateLevelMMMC
 
 LANES = 256
@@ -129,10 +133,32 @@ class TestScalar:
         assert plain.sim.cycle == seen.sim.cycle == 6 * (1 + 3 * l + 5)
 
 
+class TestOneLoop:
+    """``multiply`` is lane 0 of ``multiply_lanes`` on both simulators."""
+
+    @pytest.mark.parametrize("simulator", ["interpreted", "compiled"])
+    @pytest.mark.parametrize(
+        "l, paper, corrected", [(3, 13, 14), (8, 28, 29), (17, 55, 56)]
+    )
+    def test_literal_cycle_counts(self, simulator, l, paper, corrected):
+        rng = random.Random(l)
+        n = _modulus(rng, l)
+        x, y = rng.randrange(n), rng.randrange(n)
+        for mode, cycles in (("paper", paper), ("corrected", corrected)):
+            g = GateLevelMMMC(l, mode, simulator=simulator)
+            run = g.multiply(x, y, n)
+            assert run.cycles == cycles
+            assert run.result == MMMC(l, mode=mode).multiply(x, y, n).result
+            assert g.sim.cycle == 1 + cycles  # load + MUL..DONE
+            [lane] = g.multiply_lanes([x], [y], [n])
+            assert (lane.result, lane.cycles) == (run.result, run.cycles)
+
+
 class TestBackendSweep:
     def test_200_request_group_is_one_sweep(self):
         """200 same-exponent requests at l=64 fit one 256-lane sweep per
-        multiplication, and every value and cycle count matches scalar."""
+        multiplication, and every value and cycle count matches the
+        behavioral MMMC."""
         rng = random.Random("lanes-200")
         n = _modulus(rng, 64)
         ctx = precompute_montgomery_constants(n)
@@ -152,9 +178,8 @@ class TestBackendSweep:
         fill = registry.histogram("hdl.lane_fill").aggregate(lanes=LANES)
         assert fill.count == mults
         assert fill.min == fill.max == 200
-        # The scalar path's cycle count does not depend on the base, so a
-        # sample of scalar runs pins every laned request's cycles.
-        for i in (0, 99, 199):
-            scalar = backend.execute(ctx, reqs[i])
-            assert scalar.value == results[i].value
-            assert {res.cycles for res in results} == {scalar.cycles}
+        # The behavioral MMMC's cycle count does not depend on the base, so
+        # one reference run pins every laned request's cycles.
+        ref = ModularExponentiator(ctx, engine="rtl").exponentiate(reqs[0].base, exponent)
+        assert ref.result == results[0].value
+        assert {res.cycles for res in results} == {ref.cycles}
