@@ -429,16 +429,23 @@ class InlinePool(WindowedPool):
         self._cheap: Optional[Any] = None  # resolved on the first cheap batch
         self._closed = False
 
+    def place(self, batches: Sequence[Any]) -> List[int]:
+        """Every batch runs on the one inline executor, index 0."""
+        return [0] * len(batches)
+
     def submit_batch(
         self,
         requests: Sequence[ModExpRequest],
         *,
         contexts: Sequence[MontgomeryContext],
         cheap_mode: bool = False,
+        shard: Optional[int] = None,
     ) -> List[Future]:
         """Execute one coalesced batch now; one resolved future per request.
 
         ``contexts[i]`` is the Montgomery context of ``requests[i]``.
+        ``shard`` (a :meth:`place` target) is accepted for parity with
+        the shard pool; there is only one place to run.
         """
         if self._closed:
             raise QueueFull("worker pool is shut down")

@@ -465,15 +465,19 @@ class ModExpService:
     ) -> List[_Entry]:
         """Submit each coalesced batch as one pool call; entries in dispatch order.
 
-        One ``submit_batch`` per batch returns one future per request —
-        already resolved on the inline plane, in flight to the home
-        shard on the shard plane.  Backpressure is batch-granular: a
+        The pool places the whole dispatch once (on the shard plane,
+        hot batches spread over the alive shards; see
+        :func:`~repro.serving.shard.place_batches`).  One
+        ``submit_batch`` per batch, to its placed shard, returns one
+        future per request — already resolved on the inline plane, in
+        flight on the shard plane.  Backpressure is batch-granular: a
         batch that does not fit the window is rejected or waited out
         whole.
         """
         cheap = self._brownout is not None and self._brownout.reroute_cheap
         dispatched: List[_Entry] = []
-        for batch in batches:
+        targets = self.pool.place(batches)
+        for batch, target in zip(batches, targets):
             entries = [entries_by_id[id(r)].popleft() for r in batch.requests]
             for entry, context in zip(entries, batch.contexts):
                 entry.batch_index = batch.index
@@ -489,6 +493,7 @@ class ModExpService:
                         [e.request for e in live],
                         contexts=[e.context for e in live],
                         cheap_mode=cheap,
+                        shard=target,
                     )
                     for entry, future in zip(live, futures):
                         entry.submitted_at = now
@@ -585,10 +590,12 @@ class ModExpService:
 
         After the hedge policy's p99-derived delay (``None`` until the
         latency reservoir warms up), the straggling request is re-issued
-        to the next live shard on the ring — the shard that would
-        inherit its key on real failover, so hedges also warm the right
-        caches.  Whichever copy answers first wins; the loser is
-        abandoned, so exactly one result is ever consumed.  Raises
+        to an alive shard other than the one holding the primary (which
+        placement may have moved off its ring owner): the first such
+        shard clockwise from the key, so a hedge of a request still at
+        home warms the caches a real failover would use.  Whichever copy
+        answers first wins; the loser is abandoned, so exactly one
+        result is ever consumed.  Raises
         :class:`FuturesTimeout` or the winner's exception exactly like
         ``Future.result`` so the caller's handling is unchanged.
         """

@@ -18,6 +18,10 @@ coalesced batch at a time.  Three pieces:
   distribution; dead shards are skipped on the ring (their key ranges
   reassign to the next alive shard) and reclaim their ranges when
   respawned.
+* :func:`place_batches` — the one placement decision per dispatch.
+  Batches start on their ring owners; hot (multi-request) batches move
+  to the least-loaded alive shard while that lowers the peak load, and
+  single-request batches — cold keys — stay home.
 * the **batch frame** wire (see :mod:`repro.serving.wire`) — one
   coalesced batch travels to its shard as one length-prefixed binary
   message over a duplex pipe, big-int operands as raw bytes; the shard
@@ -99,7 +103,7 @@ from repro.serving.pool import (
     row_payload,
 )
 from repro.serving.request import ModExpRequest
-from repro.serving.scheduler import BatchKey, batch_key
+from repro.serving.scheduler import Batch, BatchKey, batch_key
 from repro.serving.wire import (
     BATCH_FRAME,
     NACK_FRAME,
@@ -117,15 +121,53 @@ from repro.serving.wire import (
 __all__ = [
     "placement_key",
     "batch_placement_key",
+    "place_batches",
     "ShardMap",
     "ShardPool",
     "RemoteWorkerError",
 ]
 
 #: Virtual nodes per shard on the consistent-hash ring.  More vnodes
-#: smooth the key distribution at the cost of ring size; 64 keeps an
-#: 8-moduli workload within one request of perfectly balanced on 4 shards.
+#: smooth how many keys each shard owns at the cost of ring size.  That
+#: is key-count balance, not load balance: under Zipf traffic one hot
+#: key outweighs all the others, which :func:`place_batches` evens out.
 DEFAULT_VNODES = 64
+
+
+def place_batches(
+    costs: Sequence[float],
+    sizes: Sequence[int],
+    homes: Sequence[int],
+    alive: Sequence[bool],
+) -> List[int]:
+    """Target shard per batch of one dispatch: ring owners, cost-balanced.
+
+    Every batch starts on its ring owner ``homes[i]``.  Batches are then
+    visited largest ``costs[i]`` first (ties by position), and one moves
+    to the currently least-loaded alive shard (ties to the lowest index)
+    only if its cost is strictly less than the load gap between the two.
+    Such a move lowers the larger load and leaves the smaller one below
+    it, so the maximum shard load never rises.  A batch of one request
+    never moves: a key seen once in a window is cold, and moving it costs
+    a precompute miss and buys no reuse.
+    """
+    load = [0.0] * len(alive)
+    for cost, home in zip(costs, homes):
+        load[home] += cost
+    live = [shard for shard, up in enumerate(alive) if up]
+    targets = list(homes)
+    if len(live) < 2:
+        return targets
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        if sizes[i] < 2:
+            continue
+        src = targets[i]
+        dst = min(live, key=lambda shard: load[shard])
+        if costs[i] < load[src] - load[dst]:
+            load[src] -= costs[i]
+            load[dst] += costs[i]
+            targets[i] = dst
+    return targets
 
 
 def placement_key(modulus: int, l: int = 0) -> int:
@@ -385,6 +427,7 @@ class _PendingBatch:
 
     __slots__ = (
         "batch_id",
+        "sources",
         "requests",
         "futures",
         "by_id",
@@ -399,8 +442,11 @@ class _PendingBatch:
         requests: List[ModExpRequest],
         futures: List[Future],
         attempt: int,
+        sources: Optional[List[ModExpRequest]] = None,
     ) -> None:
         self.batch_id = batch_id
+        # The caller's request objects, before any wire id rewrite.
+        self.sources = requests if sources is None else sources
         self.requests = requests
         self.futures = futures
         self.by_id = {r.request_id: f for r, f in zip(requests, futures)}
@@ -652,16 +698,47 @@ class ShardPool(WindowedPool):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    def place(self, batches: Sequence[Batch]) -> List[Optional[int]]:
+        """Target shard per batch of one dispatch (see :func:`place_batches`).
+
+        Hot batches leave a loaded ring owner for the least-loaded alive
+        shard; single-request batches stay home.  ``None`` for every
+        batch while no shard is alive: :meth:`submit_batch` then waits
+        for the ring owner, as it always has.
+        """
+        alive = self.map.alive
+        try:
+            homes = [self.map.owner(batch_placement_key(b.key)) for b in batches]
+        except ShardFailure:
+            return [None] * len(batches)
+        targets = place_batches(
+            [b.estimated_cost for b in batches],
+            [b.size for b in batches],
+            homes,
+            alive,
+        )
+        if OBS.enabled:
+            for home, target in zip(homes, targets):
+                if target != home:
+                    OBS.count(
+                        "serving.placement_moves",
+                        **{"from": str(home), "to": str(target)},
+                    )
+        return targets
+
     def submit_batch(
         self,
         requests: Sequence[ModExpRequest],
         *,
         contexts: Optional[Sequence[MontgomeryContext]] = None,
         cheap_mode: bool = False,
+        shard: Optional[int] = None,
     ) -> List[Future]:
-        """Ship one coalesced batch to its batch key's home shard as one frame.
+        """Ship one coalesced batch to one shard as one frame.
 
-        Every request must share one
+        The batch goes to ``shard`` (a :meth:`place` target) while that
+        shard is alive, else to its batch key's ring owner.  Every
+        request must share one
         :func:`~repro.serving.scheduler.batch_key` of this pool's backend
         (:class:`~repro.errors.ParameterError` otherwise): one
         ``(modulus, l)``, or one operand width for the lock-step lane
@@ -691,29 +768,35 @@ class ShardPool(WindowedPool):
         self._window.reserve(len(requests), elastic=True)
         try:
             return self._dispatch_batch(
-                list(requests), attempt=0, cheap_mode=cheap_mode
+                list(requests), attempt=0, target=shard, cheap_mode=cheap_mode
             )
         except BaseException:
             self._window.cancel_reservation(len(requests))
             raise
 
     def submit_hedge(self, request: ModExpRequest) -> Optional[Future]:
-        """Re-dispatch one straggler to the ring's next alive shard.
+        """Re-dispatch one straggler to an alive shard other than its primary's.
 
-        Hedging is strictly best-effort: no distinct alive shard, a full
-        window, or a shutdown all return ``None`` rather than raising —
-        the primary dispatch is still in flight and remains the source
-        of truth.  The caller owns first-result-wins arbitration and
-        must :meth:`abandon` the loser.
+        The primary's shard is the one whose in-flight batches hold the
+        request — placement may have moved it off the ring owner — and
+        the hedge goes to the first alive shard clockwise from the key
+        other than that one.  Hedging is strictly best-effort: no
+        distinct alive shard, a target that is down, a full window, or a
+        shutdown all return ``None`` at once rather than raising — the
+        primary dispatch is still in flight and remains the source of
+        truth.  The caller owns first-result-wins arbitration and must
+        :meth:`abandon` the loser.
         """
         if self._closed:
             return None
         key = batch_placement_key(batch_key(self._capabilities, request))
-        try:
-            owner = self.map.owner(key)
-        except ShardFailure:
-            return None
-        target = self.map.next_owner(key, avoid=owner)
+        holder = self._holder(request)
+        if holder is None:  # answered, or mid-requeue: avoid the owner
+            try:
+                holder = self.map.owner(key)
+            except ShardFailure:
+                return None
+        target = self.map.next_owner(key, avoid=holder)
         if target is None:
             return None
         try:
@@ -724,7 +807,9 @@ class ShardPool(WindowedPool):
             # attempt=1, same as a death-requeue: a deterministic chaos
             # fault keyed on (request, attempt) must not simply re-fire
             # on the hedge copy, or a stuck primary begets a stuck hedge.
-            futures = self._dispatch_batch([request], attempt=1, target=target)
+            futures = self._dispatch_batch(
+                [request], attempt=1, target=target, hedge=True
+            )
         except BaseException:
             self._window.cancel_reservation(1)
             return None
@@ -732,18 +817,31 @@ class ShardPool(WindowedPool):
             OBS.count("serving.hedges_dispatched", shard=str(target))
         return futures[0]
 
+    def _holder(self, request: ModExpRequest) -> Optional[int]:
+        """Index of the shard holding ``request``'s unanswered primary."""
+        for shard in list(self._shards):
+            with shard.lock:
+                for pending in shard.pending.values():
+                    for source, future in zip(pending.sources, pending.futures):
+                        if source is request and not future.done():
+                            return shard.index
+        return None
+
     def _dispatch_batch(
         self,
         requests: List[ModExpRequest],
         *,
         attempt: int,
         target: Optional[int] = None,
+        hedge: bool = False,
         cheap_mode: bool = False,
     ) -> List[Future]:
         batch_id = next(self._batch_seq)
         wire_requests = self._uniquify_ids(requests, batch_id)
         futures: List[Future] = [Future() for _ in wire_requests]
-        pending = _PendingBatch(batch_id, wire_requests, futures, attempt)
+        pending = _PendingBatch(
+            batch_id, wire_requests, futures, attempt, sources=requests
+        )
         frame = encode_batch_frame(
             batch_id,
             wire_requests,
@@ -752,7 +850,7 @@ class ShardPool(WindowedPool):
             want_spans=OBS.tracer is not None,
             cheap_mode=cheap_mode,
         )
-        self._send(pending, frame, target=target)
+        self._send(pending, frame, target=target, hedge=hedge)
         return futures
 
     @staticmethod
@@ -785,15 +883,19 @@ class ShardPool(WindowedPool):
         frame: bytes,
         *,
         target: Optional[int] = None,
+        hedge: bool = False,
     ) -> None:
-        """Register ``pending`` with the key's current owner and send.
+        """Register ``pending`` with its shard and send.
 
         Registration happens *before* the write: if the worker dies
         mid-send, the reader's death handler finds the batch in
-        ``pending`` and requeues it.  A shard flagged dead (respawn in
-        progress) is retried against the ring until an alive owner
-        accepts the batch.  ``target`` pins the batch to an explicit
-        shard (hedging) instead of the ring owner.
+        ``pending`` and requeues it.  ``target`` pins the batch to an
+        explicit shard instead of the ring owner.  A target that is down
+        (dead, or off the ring while draining) is never waited for: a
+        placed batch falls back to the ring owner, and a hedge raises
+        :class:`ShardFailure` at once.  A ring owner flagged dead
+        (respawn in progress) is retried against the ring until an alive
+        owner accepts the batch.
         """
         key = batch_placement_key(batch_key(self._capabilities, pending.requests[0]))
         give_up = time.monotonic() + 30.0
@@ -812,6 +914,11 @@ class ShardPool(WindowedPool):
                     continue
             shard = self._shards[owner]
             with shard.lock:
+                if target is not None and (shard.dead or not self.map.alive[target]):
+                    if hedge:
+                        raise ShardFailure(f"hedge target shard {target} is down")
+                    target = None
+                    continue
                 if shard.dead:
                     if self._closed or time.monotonic() > give_up:
                         raise ShardFailure(
