@@ -144,7 +144,7 @@ def _inject_fault_mmmc(
         )
     if not 0 <= site.index < widths[site.register]:
         raise ParameterError(f"index {site.index} out of range for {site.register}")
-    mmmc._validate(x, y, n)  # surface operand errors before the try below
+    mmmc.validate(x, y, n)  # surface operand errors before the try below
     detected = False
     observed: Optional[int] = None
     mmmc.schedule_fault(site)

@@ -78,6 +78,9 @@ __all__ = [
     "compile_kernel",
     "pack_lanes",
     "unpack_lanes",
+    "pack_slots",
+    "unpack_slots",
+    "slots_below",
     "kernel_cache_info",
     "clear_kernel_cache",
 ]
@@ -739,10 +742,20 @@ def clear_kernel_cache() -> None:
 # ----------------------------------------------------------------------
 # Lane packing helpers
 # ----------------------------------------------------------------------
-# Both directions are one bit-matrix transpose done in C: every row is
+# Every direction is one bit-matrix transpose done in C: every row is
 # formatted as a fixed-width binary string (most significant bit first),
 # the rows are concatenated, and each column is a strided slice of that
 # string, parsed back with ``int(..., 2)``.  No Python loop touches a bit.
+def _check_fit(values: Sequence[int], width: int) -> None:
+    """Raise for the first lane whose value does not fit ``width`` bits."""
+    if values and (min(values) < 0 or max(values) >> width):
+        for k, val in enumerate(values):
+            if val < 0 or (width < val.bit_length()):
+                raise SimulationError(
+                    f"lane {k} value {val} does not fit bus of width {width}"
+                )
+
+
 def pack_lanes(values: Sequence[int], width: int) -> List[int]:
     """Bit-slice per-lane integers into per-wire lane words.
 
@@ -750,12 +763,7 @@ def pack_lanes(values: Sequence[int], width: int) -> List[int]:
     ``i`` holds bit ``i`` of every lane, lane k in bit position k —
     exactly the layout a ``width``-wide bus of packed wires uses.
     """
-    if values and (min(values) < 0 or max(values) >> width):
-        for k, val in enumerate(values):
-            if val < 0 or (width < val.bit_length()):
-                raise SimulationError(
-                    f"lane {k} value {val} does not fit bus of width {width}"
-                )
+    _check_fit(values, width)
     if not values or not width:
         return [0] * width
     # The last lane's row comes first, so lane k lands in bit k of a column.
@@ -777,9 +785,82 @@ def unpack_lanes(words: Sequence[int], lanes: int) -> List[int]:
     return [int(rows[lanes - 1 - k :: lanes], 2) for k in range(lanes)]
 
 
+def pack_slots(values: Sequence[int], width: int) -> int:
+    """Bit-slice per-lane integers into one bus-slot word.
+
+    With ``L = len(values)`` lanes, bit ``i·L + k`` of the result holds
+    bit ``i`` of ``values[k]``: the :func:`pack_lanes` words laid end to
+    end, bus bit 0 lowest.  This is the layout of a cell-sliced kernel's
+    slot words, so a bus whose wires sit in consecutive slots of one bank
+    is written with one shift and mask (:meth:`CompiledSimulator.poke_slots`).
+    Same range check and message as :func:`pack_lanes`.
+    """
+    _check_fit(values, width)
+    if not values or not width:
+        return 0
+    fmt = f"0{width}b"
+    rows = "".join([format(val, fmt) for val in reversed(values)])
+    # Column j of the rows is bus bit width-1-j of every lane, lane L-1 first.
+    return int("".join([rows[j::width] for j in range(width)]), 2)
+
+
+def unpack_slots(word: int, width: int, lanes: int) -> List[int]:
+    """Inverse of :func:`pack_slots`: each of ``lanes`` lanes' bus value.
+
+    Word bits at positions ``>= width·lanes`` are ignored.
+    """
+    if lanes <= 0:
+        return []
+    if not width:
+        return [0] * lanes
+    total = width * lanes
+    bits = format(word & ((1 << total) - 1), f"0{total}b")
+    return [int(bits[lanes - 1 - k :: lanes], 2) for k in range(lanes)]
+
+
+def slots_below(a: int, b: int, width: int, lanes: int, live: int) -> int:
+    """Lane mask of ``a < b``, compared lane by lane on bus-slot words.
+
+    A bit-sliced magnitude comparator: slots are scanned from the most
+    significant down, and a lane is decided at the first slot where its
+    bits differ (``a`` below ``b`` there iff ``b``'s bit is 1).  The scan
+    stops once every lane of the ``live`` mask is decided, which for
+    unrelated values is a handful of slots; lanes outside ``live`` are
+    never reported.
+    """
+    m = (1 << lanes) - 1
+    open_ = live & m
+    below = 0
+    top = min(width, -(-max(a.bit_length(), b.bit_length()) // lanes))
+    for i in range(top - 1, -1, -1):
+        off = i * lanes
+        bi = (b >> off) & m
+        diff = (((a >> off) & m) ^ bi) & open_
+        if diff:
+            below |= diff & bi
+            open_ ^= diff
+            if not open_:
+                break
+    return below
+
+
 # ----------------------------------------------------------------------
 # Simulator facade
 # ----------------------------------------------------------------------
+class _SlotPlan(NamedTuple):
+    """A bus's route between bus-slot words and a simulator's state.
+
+    ``poke``/``peek`` hold ``(bank, bus offset, slot offset, width mask,
+    keep mask or None)`` pieces (peek reads each wire's first home only);
+    ``scalars`` holds ``(bus offset, wire)`` for lane words in ``values``.
+    """
+
+    bus: Sequence[Wire]
+    poke: Tuple[Tuple[int, int, int, int, Optional[int]], ...]
+    peek: Tuple[Tuple[int, int, int, int, Optional[int]], ...]
+    scalars: Tuple[Tuple[int, int], ...]
+
+
 class CompiledSimulator:
     """Drop-in :class:`~repro.hdl.simulator.Simulator` twin over compiled kernels.
 
@@ -836,9 +917,11 @@ class CompiledSimulator:
             i for i, wires in enumerate(self.kernel.banks) if wires[0] in q_wires
         ]
         self._hidden = self.kernel.hidden
+        # poke_slots/peek_slots plans, per bus object (see _slot_plan).
+        self._slot_plans: Dict[int, "_SlotPlan"] = {}
         self.cycle = 0
         # Lanes carrying live work this sweep (lane-fill accounting); the
-        # batch driver (GateLevelMMMC.multiply_lanes) narrows it while a
+        # batch driver (GateLevelMMMC.multiply_slots) narrows it while a
         # padded sweep is in flight.
         self.active_lanes = lanes
 
@@ -931,15 +1014,91 @@ class CompiledSimulator:
                     word |= 1 << k
             self._write({wire_or_bus.index: word})
             return
-        self.poke_words(wire_or_bus, pack_lanes(lane_values, len(wire_or_bus)))
+        words = pack_lanes(lane_values, len(wire_or_bus))
+        self._write({w.index: word for w, word in zip(wire_or_bus, words)})
 
-    def poke_words(self, bus: Sequence[Wire], words: Sequence[int]) -> None:
-        """Drive a bus with per-wire lane words, as :func:`pack_lanes` returns.
+    def _slot_plan(self, bus: Sequence[Wire]) -> "_SlotPlan":
+        """How ``bus`` maps onto the slot words and the value array.
 
-        Lets a caller pack one operand set once and drive it onto several
-        buses (a squaring's X and Y).
+        Bus bits that sit in consecutive slots of one bank form one
+        piece, moved with a shift and a mask; the rest are lane words in
+        ``values``, so they must be readable (primary inputs, outputs or
+        watched wires; a closure-cell register raises).  Built once per
+        bus object (found by identity, at most 64 kept) and held on this
+        simulator, so no plan outlives it.
         """
-        self._write({w.index: word for w, word in zip(bus, words)})
+        plan = self._slot_plans.get(id(bus))
+        if plan is not None and plan.bus is bus:
+            return plan
+        k = self.lanes
+        full = [(1 << (len(wires) * k)) - 1 for wires in self.kernel.banks]
+        runs: Dict[Tuple[int, int], List[int]] = {}
+        first: Dict[Tuple[int, int], List[int]] = {}
+        scalars: List[Tuple[int, int]] = []
+        for i, w in enumerate(bus):
+            home = self._homes.get(w.index)
+            if home is None:
+                scalars.append((i * k, w.index))
+                continue
+            for j, (bank, slot) in enumerate(home):
+                runs.setdefault((bank, slot - i), []).append(i)
+                if not j:
+                    first.setdefault((bank, slot - i), []).append(i)
+
+        def pieces(groups):
+            out = []
+            for (bank, delta), bits in groups.items():
+                start = prev = bits[0]
+                for i in bits[1:] + [None]:
+                    if i is not None and i == prev + 1:
+                        prev = i
+                        continue
+                    width = (1 << ((prev - start + 1) * k)) - 1
+                    dst = (start + delta) * k
+                    keep = full[bank] ^ (width << dst)
+                    out.append((bank, start * k, dst, width, keep or None))
+                    if i is not None:
+                        start = prev = i
+            return tuple(out)
+
+        for _, w in scalars:
+            self._check_readable(w)
+        plan = _SlotPlan(bus, pieces(runs), pieces(first), tuple(scalars))
+        if len(self._slot_plans) >= 64:
+            self._slot_plans.clear()
+        self._slot_plans[id(bus)] = plan
+        return plan
+
+    def poke_slots(self, bus: Sequence[Wire], word: int) -> None:
+        """Drive a bus with a bus-slot word, as :func:`pack_slots` returns.
+
+        Bit ``i·L + k`` of ``word`` is bus bit ``i`` of lane ``k``; bits at
+        ``len(bus)·L`` and above are ignored.  Each bank piece of the bus
+        is one shift and mask, each remaining wire one lane-word extract.
+        """
+        plan = self._slot_plan(bus)
+        if plan.poke:
+            banks = list(self._banks())
+            for bank, src, dst, width, keep in plan.poke:
+                part = ((word >> src) & width) << dst
+                banks[bank] = part if keep is None else (banks[bank] & keep) | part
+            self._set_banks(banks)
+        vals, m = self.values, self.mask
+        for off, w in plan.scalars:
+            vals[w] = (word >> off) & m
+
+    def peek_slots(self, bus: Sequence[Wire]) -> int:
+        """Read a bus as one bus-slot word (the inverse of :meth:`poke_slots`)."""
+        plan = self._slot_plan(bus)
+        word = 0
+        if plan.peek:
+            banks = self._banks()
+            for bank, src, dst, width, _ in plan.peek:
+                word |= ((banks[bank] >> dst) & width) << src
+        vals = self.values
+        for off, w in plan.scalars:
+            word |= vals[w] << off
+        return word
 
     def peek(self, wire_or_bus, lane: int = 0) -> int:
         """Read one lane (default lane 0) of a wire or little-endian bus."""

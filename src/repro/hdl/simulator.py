@@ -135,14 +135,18 @@ class Simulator:
         for i, w in enumerate(bus):
             self.values[w.index] = (value >> i) & 1
 
-    def poke_words(self, bus: Sequence[Wire], words: Sequence[int]) -> None:
-        """One-lane form of :meth:`CompiledSimulator.poke_words`.
+    def poke_slots(self, bus: Sequence[Wire], word: int) -> None:
+        """One-lane form of :meth:`CompiledSimulator.poke_slots`.
 
-        ``words[i]`` is bus bit ``i`` (0/1), as ``pack_lanes([value],
-        len(bus))`` returns it.
+        At one lane a bus-slot word is the bus value itself; bits at
+        ``len(bus)`` and above are ignored.
         """
-        for w, word in zip(bus, words):
-            self.values[w.index] = word
+        for i, w in enumerate(bus):
+            self.values[w.index] = (word >> i) & 1
+
+    def peek_slots(self, bus: Sequence[Wire]) -> int:
+        """One-lane form of :meth:`CompiledSimulator.peek_slots`."""
+        return self.peek(bus)
 
     def peek_lanes(self, wire_or_bus) -> List[int]:
         """One-lane form of :meth:`CompiledSimulator.peek_lanes`."""

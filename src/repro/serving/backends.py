@@ -81,7 +81,7 @@ class BackendCapabilities:
         of same-exponent requests of one operand width, possibly under
         several moduli, which the backend packs as bit-slices of one
         netlist sweep with ``N`` loaded per lane (see
-        :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_lanes`).
+        :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_slots`).
         Such a backend's batches are cut by width, not by modulus (see
         :func:`repro.serving.scheduler.batch_key`).
     mixed_exponent_lanes:
@@ -289,8 +289,9 @@ class _NetlistBackend(ModExpBackend):
     lone request, a same-exponent lane group and the chaos register-fault
     path alike: the Algorithm 3 chain
     (:func:`~repro.montgomery.exponent.modexp_chain`) over one
-    :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_lanes`
-    sweep per multiplication, with the Walter ``T < 2N`` bound checked on
+    :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_slots`
+    sweep per multiplication, its operands kept as bus-slot words from the
+    first product to the last, with the Walter ``T < 2N`` bound checked on
     every product of every lane and the measured cycles checked against
     :func:`~repro.systolic.timing.exponentiation_cycles_measured_model`
     once per group.  The simulators are stateful, so a lock keeps
@@ -309,9 +310,9 @@ class _NetlistBackend(ModExpBackend):
         ``k`` rounded up to a multiple of 64, capped at
         ``capabilities.lanes``.  The cell-sliced kernel's word operations
         span every cell's slots, so their cost grows with the lane count:
-        at l=64 a cycle costs ~13 us on 128 lanes against ~17 us on 256
-        (docs/SIMULATION.md), and padding a group to the full word would
-        pay for lanes that carry nothing.
+        at l=64 the kernel costs ~10 us per cycle on 128 lanes against
+        ~14 us on 256 (docs/SIMULATION.md), and padding a group to the
+        full word would pay for lanes that carry nothing.
         """
         return min(-(-k // 64) * 64, self.capabilities.lanes)
 
@@ -335,7 +336,15 @@ class _NetlistBackend(ModExpBackend):
 
         Lane ``k`` runs ``requests[k]`` under its own ``contexts[k]``:
         the netlist loads ``N`` per lane, and the ``R² mod N`` operand,
-        the Walter bound and the final reduction are per lane too.
+        the Walter bound and the final reduction are per lane too.  The
+        chain's operands are bus-slot words
+        (:func:`~repro.hdl.compiled.pack_slots`): base, ``R² mod N`` and
+        ``N`` are transposed in once, each product is the RESULT bank read
+        back and fed straight to the next product, and only the final
+        products are transposed out.  The Walter check is one bit-sliced
+        comparison against the ``2N`` slot word
+        (:func:`~repro.hdl.compiled.slots_below`); the word is unpacked
+        only when a lane fails, for the error message.
         ``fault = (index, site)`` arms a register fault for the
         multiplication numbered ``index`` (0-based, in chain order).
         Caller holds ``self._lock`` and guarantees every request shares
@@ -343,6 +352,7 @@ class _NetlistBackend(ModExpBackend):
         one ``l``-bit array, so the multiplication schedule must be
         common).
         """
+        from repro.hdl.compiled import pack_slots, slots_below, unpack_slots
         from repro.systolic.exponentiator import check_cycles
         from repro.systolic.timing import exponentiation_cycles_measured_model
 
@@ -354,28 +364,43 @@ class _NetlistBackend(ModExpBackend):
         # and no lane-fill samples.
         k = len(requests)
         gate = self._mmmc(l, self.sweep_lanes(k) if k > 1 else 1)
+        lanes, width = gate.lanes, l + 1
+        bases = [r.base for r in requests]
+        r2s = [ctx.r2_mod_n for ctx in contexts]
+        # The chain's entry operands are validated once, per lane; every
+        # later operand is a product that passed the Walter check below,
+        # i.e. the same [0, 2N) predicate.
+        for x, y, n in zip(bases, r2s, ns):
+            gate.validate(x, y, n)
+
+        def slots(values: List[int]) -> int:
+            # Padding lanes replicate the last request (their results are
+            # dropped and the Walter check skips them).
+            return pack_slots(values + values[-1:] * (lanes - k), width)
+
+        n_word = slots(ns)
+        two_n = n_word << lanes  # every lane's N one slot up: 2N
+        live = (1 << k) - 1
         cycles = 0
         issued = 0
 
-        def mont(kind: str, xs: List[int], ys: List[int]) -> List[int]:
+        def mont(kind: str, x: int, y: int) -> int:
             nonlocal cycles, issued
             if fault is not None and issued == fault[0]:
                 gate.schedule_fault(fault[1])
             issued += 1
-            runs = gate.multiply_lanes(xs, ys, ns)
-            cycles += runs[0].cycles  # lock-step: every lane pays the same
-            return [
-                _walter_checked(run.result, n, lane)
-                for lane, (run, n) in enumerate(zip(runs, ns))
-            ]
+            t, took = gate.multiply_slots(x, y, n_word, k)
+            cycles += took  # lock-step: every lane pays the same
+            bad = live & ~slots_below(t, two_n, width, lanes, live)
+            if bad:
+                lane = (bad & -bad).bit_length() - 1
+                _walter_checked(unpack_slots(t, width, lanes)[lane], ns[lane], lane)
+            return t
 
-        chain = modexp_chain(
-            [r.base for r in requests],
-            exponent,
-            [ctx.r2_mod_n for ctx in contexts],
-            one=[1] * k,
-        )
-        values = run_chain(chain, mont)
+        # One transpose in per operand kind (the 1 is the lane mask in
+        # slot 0), one transpose out for the final products.
+        chain = modexp_chain(slots(bases), exponent, slots(r2s), one=(1 << lanes) - 1)
+        values = unpack_slots(run_chain(chain, mont), width, lanes)[:k]
         check_cycles(cycles, exponentiation_cycles_measured_model(l, exponent).total)
         return [BackendResult(v % n, cycles) for v, n in zip(values, ns)]
 

@@ -27,10 +27,10 @@ reproduce Table 2's slice counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import ParameterError, SimulationError
-from repro.hdl.compiled import pack_lanes
+from repro.hdl.compiled import pack_slots, unpack_slots
 from repro.hdl.netlist import Circuit, Wire
 from repro.hdl.probes import make_sampler, mmmc_probe_set
 from repro.hdl.registers import _drive, counter, equality_comparator, mux2, register, shift_register_right
@@ -230,9 +230,6 @@ class GateLevelMMMC:
         # One-shot scheduled fault: (cycle, wire, lane_or_None), consumed
         # by the next multiplication.  See schedule_fault().
         self._pending_fault = None
-        # (moduli, their lane packing) of the last multiply_lanes call: a
-        # sweep's lanes keep their keys for a whole exponentiation.
-        self._lane_ns = (None, None)
         self.sim.reset()
 
     # ------------------------------------------------------------------
@@ -315,6 +312,24 @@ class GateLevelMMMC:
             return None, None, None
         return hub, rec, sampler
 
+    def _emit(self, hub, rec, operands, used: int, cycles: int) -> None:
+        """Hand a sweep's recorder to the hub (which dumps it if triggered).
+
+        A dump carries the sweep's operands so it is differentially
+        re-runnable: replaying lane k cleanly is ``multiply(xs[k], ys[k],
+        ns[k])`` on a scalar instance.  They are unpacked from the
+        bus-slot words only for a dump.
+        """
+        laned = self.lanes > 1
+        if rec.triggered:
+            width = self.l + 1
+            xs, ys, ns = (unpack_slots(w, width, self.lanes)[:used] for w in operands)
+            if laned:
+                rec.meta.update(xs=xs, ys=ys, ns=ns)
+            else:
+                rec.meta.update(x=xs[0], y=ys[0], n=ns[0])
+        hub.emit(rec, cycles=cycles, lanes=used if laned else None)  # emit() drops None
+
     def _fault_cause(self, wire: Wire, lane) -> str:
         name = self.ports.circuit.wire_names[wire.index]
         where = "" if lane is None else f" lane {lane}"
@@ -325,7 +340,8 @@ class GateLevelMMMC:
         if OBS.enabled:
             OBS.count("mmmc.faults_injected")
 
-    def _validate(self, x: int, y: int, n: int) -> None:
+    def validate(self, x: int, y: int, n: int) -> None:
+        """Raise unless ``n`` is an odd ``l``-bit modulus and ``x, y`` lie in ``[0, 2N)``."""
         if n.bit_length() > self.l or n % 2 == 0 or n < 3:
             raise ParameterError(f"bad modulus {n} for l={self.l}")
         for nm, v in (("x", x), ("y", y)):
@@ -357,15 +373,11 @@ class GateLevelMMMC:
     def multiply_lanes(self, xs, ys, ns) -> List[MMMCRun]:
         """Run up to ``lanes`` multiplications in one bit-sliced sweep.
 
-        The one cycle loop of the netlist twin, on either simulator (a
-        one-lane instance is the scalar multiplier).  The controller is
-        data-independent, so every lane shares the same START/MUL/DONE
-        schedule; each wire carries the K lanes as bits of one int and the
-        compiled kernels evaluate them simultaneously.  Cycles are counted
-        from the first MUL cycle to DONE.  Short batches are padded by
-        replicating the last operand set (the padding lanes' results are
-        discarded).  Lane metrics (``hdl.lane_fill`` and friends) are
-        recorded on multi-lane instances only.
+        Validates every lane's operands, packs them into bus-slot words
+        (:func:`~repro.hdl.compiled.pack_slots`), runs
+        :meth:`multiply_slots` and unpacks the products.  Short batches
+        are padded by replicating the last operand set (the padding
+        lanes' results are discarded).
         """
         if not (0 < len(xs) <= self.lanes) or not (len(xs) == len(ys) == len(ns)):
             raise ParameterError(
@@ -373,12 +385,42 @@ class GateLevelMMMC:
                 f"{self.lanes} lanes"
             )
         for x, y, n in zip(xs, ys, ns):
-            self._validate(x, y, n)
+            self.validate(x, y, n)
         used = len(xs)
-        pad = self.lanes - used
-        xs = list(xs) + [xs[-1]] * pad
-        ys = list(ys) + [ys[-1]] * pad
-        ns = list(ns) + [ns[-1]] * pad
+        width = self.l + 1
+
+        def padded(values) -> int:
+            return pack_slots(list(values) + [values[-1]] * (self.lanes - used), width)
+
+        x = padded(xs)
+        # A squaring drives one packing onto X and Y.
+        y = x if list(ys) == list(xs) else padded(ys)
+        t, cycles = self.multiply_slots(x, y, padded(ns), used)
+        return [
+            MMMCRun(result=r, cycles=cycles, state_sequence=[])
+            for r in unpack_slots(t, width, self.lanes)[:used]
+        ]
+
+    def multiply_slots(self, x: int, y: int, n: int, used: int) -> Tuple[int, int]:
+        """The one cycle loop of the netlist twin: ``(RESULT, cycles)``.
+
+        ``x``, ``y`` and ``n`` are bus-slot words of the ``l+1``-bit X, Y
+        and N buses over this instance's lane count (bit ``i·L + k`` =
+        bit ``i`` of lane ``k``); lanes ``used`` and above are padding.
+        Operands are not validated here: :meth:`multiply_lanes` validates
+        each lane, and an exponentiation chain validates its entry operands
+        and then feeds back products that passed Walter's ``T < 2N`` check.
+        The product comes back as the RESULT bus's slot word.
+
+        Runs on either simulator (a one-lane instance is the scalar
+        multiplier).  The controller is data-independent, so every lane
+        shares the same START/MUL/DONE schedule; each wire carries the K
+        lanes as bits of one int and the compiled kernels evaluate them
+        simultaneously.  Cycles are counted from the first MUL cycle to
+        DONE.  Lane metrics (``hdl.lane_fill`` and friends) are recorded
+        on multi-lane instances only.  Every exit, raising or not, closes
+        the ``mmm`` span and restores ``sim.active_lanes``.
+        """
         p, sim, core = self.ports, self.sim, self.ports.core
         laned = self.lanes > 1
         observed = OBS.enabled
@@ -401,94 +443,82 @@ class GateLevelMMMC:
                 engine=self.simulator,
                 **span,
             )
-        # Pack each distinct operand set once: a squaring drives one packing
-        # onto X and Y, and a sweep's moduli keep their packing across calls.
-        width = self.l + 1
-        x_words = pack_lanes(xs, width)
-        sim.poke_words(p.x_in, x_words)
-        sim.poke_words(p.y_in, x_words if ys == xs else pack_lanes(ys, width))
-        if ns != self._lane_ns[0]:
-            self._lane_ns = (ns, pack_lanes(ns, width))
-        sim.poke_words(p.n_in, self._lane_ns[1])
-        sim.active_lanes = used  # lane-fill accounting in the compiled engine
-        sim.poke(p.start, 1)  # broadcast: every lane starts together
-        sim.step()  # the IDLE/load cycle (not charged, as in the behavioral MMMC)
-        sim.poke(p.start, 0)
-        cycles = 0
-        mul_cycles = 0
-        limit = 4 * self.l + 16
-        vals = sim.values
-        s0_i, s1_i, c1_i = self._s0_i, self._s1_i, self._c1_i
-        carry_i, done_i = self._carry_i, self._done_i
-        pending = self._take_pending_fault()
-        # Decode/extraction follows the faulting lane when a fault is armed.
-        lane_hint = pending[2] if pending is not None and pending[2] is not None else 0
-        hub, rec, sampler = self._arm_recorder(lane_hint)
-        if rec is not None:
-            # Operands make the dump differentially re-runnable: replaying
-            # lane k cleanly is multiply(xs[k], ys[k], ns[k]) on a scalar
-            # instance.
-            if laned:
-                rec.meta.update(xs=xs[:used], ys=ys[:used], ns=ns[:used])
-            else:
-                rec.meta.update(x=xs[0], y=ys[0], n=ns[0])
-        lanes_meta = used if laned else None  # emit() drops None
-        while cycles < limit:
-            # Pre-edge register reads (state, overflow C1) happen before the
-            # fused step; combinational taps (carry, DONE) are settled from
-            # those same pre-edge values and stay valid after it.
-            # MUL1=01 / MUL2=10 means s0 XOR s1.
-            in_mul = (vals[s0_i] ^ vals[s1_i]) & 1
-            c1_word = vals[c1_i] if in_mul else 0  # pre-edge C1 lanes
-            sim.step()
-            if pending is not None and cycles == pending[0]:
-                self._apply_fault(pending[1], pending[2])
-                if rec is not None:
-                    rec.notify_fault(
-                        cycles,
-                        self._fault_cause(pending[1], pending[2]),
-                        lane=pending[2],
-                    )
-                pending = None
-            if rec is not None and rec.wants_sample(cycles):
-                rec.sample(cycles, sampler())
-            if c1_word and core.productive(mul_cycles):
-                over = vals[carry_i] & c1_word
-                bad = [k for k in range(used) if (over >> k) & 1] if over else None
-                if bad:
-                    message = core.overflow_message(mul_cycles)
-                    if laned:
-                        message = f"lanes {bad}: " + message
+        try:
+            sim.poke_slots(p.x_in, x)
+            sim.poke_slots(p.y_in, y)
+            sim.poke_slots(p.n_in, n)
+            sim.active_lanes = used  # lane-fill accounting in the compiled engine
+            sim.poke(p.start, 1)  # broadcast: every lane starts together
+            sim.step()  # the IDLE/load cycle (not charged, as in the behavioral MMMC)
+            sim.poke(p.start, 0)
+            cycles = 0
+            mul_cycles = 0
+            limit = 4 * self.l + 16
+            vals = sim.values
+            s0_i, s1_i, c1_i = self._s0_i, self._s1_i, self._c1_i
+            carry_i, done_i = self._carry_i, self._done_i
+            pending = self._take_pending_fault()
+            # Decode/extraction follows the faulting lane when a fault is armed.
+            lane_hint = pending[2] if pending is not None and pending[2] is not None else 0
+            hub, rec, sampler = self._arm_recorder(lane_hint)
+            while cycles < limit:
+                # Pre-edge register reads (state, overflow C1) happen before the
+                # fused step; combinational taps (carry, DONE) are settled from
+                # those same pre-edge values and stay valid after it.
+                # MUL1=01 / MUL2=10 means s0 XOR s1.
+                in_mul = (vals[s0_i] ^ vals[s1_i]) & 1
+                c1_word = vals[c1_i] if in_mul else 0  # pre-edge C1 lanes
+                sim.step()
+                if pending is not None and cycles == pending[0]:
+                    self._apply_fault(pending[1], pending[2])
                     if rec is not None:
-                        rec.notify_fault(cycles, message, lane=bad[0])
-                        hub.emit(rec, cycles=cycles, lanes=lanes_meta)
-                    sim.reset()  # leave the instance reusable after the raise
-                    sim.active_lanes = self.lanes
-                    raise SimulationError(message)
-            done = vals[done_i] & 1
-            cycles += 1
-            if in_mul:
+                        rec.notify_fault(
+                            cycles,
+                            self._fault_cause(pending[1], pending[2]),
+                            lane=pending[2],
+                        )
+                    pending = None
+                if rec is not None and rec.wants_sample(cycles):
+                    rec.sample(cycles, sampler())
+                if c1_word and core.productive(mul_cycles):
+                    over = vals[carry_i] & c1_word
+                    bad = [k for k in range(used) if (over >> k) & 1] if over else None
+                    if bad:
+                        message = core.overflow_message(mul_cycles)
+                        if laned:
+                            message = f"lanes {bad}: " + message
+                        if rec is not None:
+                            rec.notify_fault(cycles, message, lane=bad[0])
+                            self._emit(hub, rec, (x, y, n), used, cycles)
+                        sim.reset()  # leave the instance reusable after the raise
+                        raise SimulationError(message)
+                done = vals[done_i] & 1
+                cycles += 1
+                if in_mul:
+                    if observed:
+                        self._sample_occupancy(mul_cycles)
+                    mul_cycles += 1
                 if observed:
-                    self._sample_occupancy(mul_cycles)
-                mul_cycles += 1
-            if observed:
-                OBS.tick()
-            if done:
-                results = sim.peek_lanes(p.result)
-                sim.active_lanes = self.lanes
+                    OBS.tick()
+                if done:
+                    break
+            else:
                 if rec is not None:
-                    hub.emit(rec, cycles=cycles, lanes=lanes_meta)
-                if observed:
-                    OBS.count("mmmc.multiplications", used)
-                    if laned:
-                        OBS.count("hdl.wasted_lane_cycles", pad * cycles)
-                    OBS.record("mmmc.multiplication_cycles", cycles)
-                    OBS.end(cycles=cycles)
-                return [
-                    MMMCRun(result=results[k], cycles=cycles, state_sequence=[])
-                    for k in range(used)
-                ]
-        sim.active_lanes = self.lanes
+                    self._emit(hub, rec, (x, y, n), used, cycles)
+                raise ParameterError(f"DONE did not rise within {limit} cycles")
+            t = sim.peek_slots(p.result)
+        except BaseException as exc:
+            if observed:
+                OBS.end(error=type(exc).__name__)
+            raise
+        finally:
+            sim.active_lanes = self.lanes
         if rec is not None:
-            hub.emit(rec, cycles=cycles, lanes=lanes_meta)
-        raise ParameterError(f"DONE did not rise within {limit} cycles")
+            self._emit(hub, rec, (x, y, n), used, cycles)
+        if observed:
+            OBS.count("mmmc.multiplications", used)
+            if laned:
+                OBS.count("hdl.wasted_lane_cycles", (self.lanes - used) * cycles)
+            OBS.record("mmmc.multiplication_cycles", cycles)
+            OBS.end(cycles=cycles)
+        return t, cycles

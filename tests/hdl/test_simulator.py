@@ -153,14 +153,15 @@ class TestOneLaneForms:
     """The interpreted engine speaks the compiled engine's lane interface
     for its one lane, so one MMMC cycle loop drives both."""
 
-    def test_poke_words_and_peek_lanes(self):
-        from repro.hdl.compiled import pack_lanes
+    def test_poke_slots_and_peek_lanes(self):
+        from repro.hdl.compiled import pack_slots
 
         c = Circuit()
         bus = c.add_input("a", 5)
         sim = Simulator(c)
-        sim.poke_words(bus, pack_lanes([0b10110], 5))
+        sim.poke_slots(bus, pack_slots([0b10110], 5))
         assert sim.peek(bus) == 0b10110
+        assert sim.peek_slots(bus) == 0b10110
         assert sim.peek_lanes(bus) == [0b10110]
         assert sim.peek_lanes(bus[1]) == [1]
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import FaultDetected
-from repro.hdl.compiled import clear_kernel_cache
+from repro.hdl.compiled import clear_kernel_cache, pack_slots, unpack_slots
 from repro.montgomery.exponent import chain_kinds
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, SpanTracer, observe
@@ -189,20 +189,23 @@ class TestMixedModulusLanes:
         contexts = [precompute_montgomery_constants(r.modulus) for r in requests]
         backend = RTLBackend()
         gate = backend._mmmc(16, backend.sweep_lanes(2))
-        real = gate.multiply_lanes
+        real = gate.multiply_slots
         bad = 2 * small + 1
         assert 2 * small <= bad < 2 * large
+        width = gate.l + 1
 
-        def lane0_out_of_bound(xs, ys, ns):
-            runs = real(xs, ys, ns)
-            return [replace(runs[0], result=bad)] + runs[1:]
+        def lane0_out_of_bound(x, y, n, used):
+            t, cycles = real(x, y, n, used)
+            values = unpack_slots(t, width, gate.lanes)
+            values[0] = bad
+            return pack_slots(values, width), cycles
 
-        gate.multiply_lanes = lane0_out_of_bound
+        gate.multiply_slots = lane0_out_of_bound
         try:
             with pytest.raises(FaultDetected, match="lane 0") as caught:
                 backend.execute_many(contexts, requests)
         finally:
-            del gate.multiply_lanes
+            del gate.multiply_slots
         assert caught.value.check == "walter-bound"
         assert str(2 * small) in str(caught.value)
 
@@ -218,13 +221,13 @@ class TestOneRoutineChecks:
         backend = RTLBackend()
         gate = backend._mmmc(16)
         bad = replace(gate.multiply(1, 1, n), result=2 * n)
-        gate.multiply = lambda *_: bad
-        gate.multiply_lanes = lambda *_: [bad]
+        # One lane: the bus-slot word is the product itself.
+        gate.multiply_slots = lambda *_: (bad.result, bad.cycles)
         try:
             with pytest.raises(FaultDetected) as caught:
                 backend.execute(ctx, request)
         finally:
-            del gate.multiply, gate.multiply_lanes
+            del gate.multiply_slots
         assert caught.value.check == "walter-bound"
         assert str(2 * n) in str(caught.value)
 
@@ -235,15 +238,18 @@ class TestOneRoutineChecks:
         ctx = precompute_montgomery_constants(n)
         backend = RTLBackend()
         gate = backend._mmmc(16, backend.sweep_lanes(2))
-        real = gate.multiply_lanes
-        gate.multiply_lanes = lambda xs, ys, ns: [
-            replace(run, cycles=run.cycles + 1) for run in real(xs, ys, ns)
-        ]
+        real = gate.multiply_slots
+
+        def one_cycle_slow(x, y, n, used):
+            t, cycles = real(x, y, n, used)
+            return t, cycles + 1
+
+        gate.multiply_slots = one_cycle_slow
         try:
             with pytest.raises(AssertionError, match="cost model says"):
                 backend.execute_many([ctx] * 2, requests)
         finally:
-            del gate.multiply_lanes
+            del gate.multiply_slots
 
 
 class _OneLaneGate(GateLevelBackend):

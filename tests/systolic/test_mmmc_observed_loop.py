@@ -1,7 +1,7 @@
 """The gate-level MMMC's one cycle loop gives the same answers observed or not.
 
-Under ``observe(...)`` ``multiply_lanes`` (and ``multiply``, its lane 0)
-takes its per-cycle hooks (occupancy, ticks, spans); with observability
+Under ``observe(...)`` ``multiply_slots`` (and its wrappers
+``multiply_lanes`` and ``multiply``, lane 0) takes its per-cycle hooks (occupancy, ticks, spans); with observability
 off it skips them.  Both must agree on every result, every cycle count,
 the simulator's clock, scheduled faults and overflow raises.  References
 are the closed-form product and the behavioral MMMC, never the netlist
@@ -13,10 +13,10 @@ import random
 import pytest
 
 from repro.analysis.fault import FaultSite
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.montgomery.algorithms import montgomery_no_subtraction
 from repro.montgomery.params import MontgomeryContext, precompute_montgomery_constants
-from repro.observability import MetricsRegistry, observe
+from repro.observability import OBS, MetricsRegistry, SpanTracer, observe
 from repro.serving import ModExpRequest
 from repro.serving.backends import RTLBackend
 from repro.systolic.exponentiator import ModularExponentiator
@@ -117,6 +117,43 @@ class TestLaneSweep:
             assert g.sim.cycle == 0  # reset after the raise
         assert messages[0] == messages[1]
         assert messages[0].startswith("lanes [1]: ")
+
+
+class TestRaisesLeaveNoTrace:
+    """A raise inside the cycle loop closes its ``mmm`` span (with an
+    ``error=`` arg) and restores the lane count, so the caller's spans
+    stay balanced."""
+
+    def _raise_inside(self, g, call, error):
+        tracer = SpanTracer()
+        with observe(metrics=MetricsRegistry(), tracer=tracer):
+            OBS.begin("outer")
+            with pytest.raises(error):
+                call()
+            assert tracer.open_spans == 1  # only "outer"
+            OBS.end()
+        assert tracer.open_spans == 0
+        [outer] = tracer.spans("outer")
+        [mmm] = tracer.spans("mmm")
+        assert mmm["args"]["error"] == error.__name__
+        assert outer["ts"] <= mmm["ts"]
+        assert g.sim.active_lanes == g.lanes
+
+    def test_overflow_raise(self):
+        l, n, x, y = OVERFLOW["l"], OVERFLOW["n"], OVERFLOW["x"], OVERFLOW["y"]
+        g = GateLevelMMMC(l, "paper", simulator="compiled", lanes=LANES)
+        self._raise_inside(
+            g, lambda: g.multiply_lanes([1, x], [1, y], [n, n]), SimulationError
+        )
+
+    @pytest.mark.parametrize("simulator", ["interpreted", "compiled"])
+    def test_done_never_rises(self, simulator):
+        # A strike on the controller's s1 in MUL2 parks the FSM in
+        # IDLE; the datapath fault classes never reach the controller, so
+        # the strike is armed directly.
+        g = GateLevelMMMC(8, simulator=simulator)
+        g._pending_fault = (0, g.ports.state[1], None)
+        self._raise_inside(g, lambda: g.multiply(3, 5, 197), ParameterError)
 
 
 class TestScalar:
