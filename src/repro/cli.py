@@ -1744,7 +1744,6 @@ def _top_summary(metrics) -> dict:
         },
         "queue": {
             "depth": _mx_total(metrics, "serving_queue_depth"),
-            "scheduler": _mx_total(metrics, "serving_scheduler_depth"),
             "wait_p50_us": _mx_pctl(metrics, "serving_queue_wait_us", 50),
         },
         "cycles": {
@@ -1844,9 +1843,8 @@ def _render_top_frame(url: str, text: str) -> str:
         )
     )
     lines.append(
-        "queue      depth={:.0f} scheduler={:.0f} wait_p50={} us".format(
+        "queue      depth={:.0f} wait_p50={} us".format(
             total("serving_queue_depth"),
-            total("serving_scheduler_depth"),
             fmt(pctl("serving_queue_wait_us", 50)),
         )
     )

@@ -74,7 +74,7 @@ from repro.serving.overload import (
 )
 from repro.serving.pool import InlinePool, SlotWindow, execute_batch
 from repro.serving.request import ModExpRequest, ModExpResult
-from repro.serving.scheduler import Batch, BatchScheduler, coalesce, lane_groups
+from repro.serving.scheduler import Batch, coalesce, lane_groups
 from repro.serving.service import ModExpService
 from repro.serving.shard import ShardMap, ShardPool, placement_key
 from repro.serving.slo import SLOPolicy
@@ -107,7 +107,6 @@ __all__ = [
     "ModExpRequest",
     "ModExpResult",
     "Batch",
-    "BatchScheduler",
     "coalesce",
     "lane_groups",
     "ModExpService",

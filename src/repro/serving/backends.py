@@ -434,20 +434,20 @@ class _NetlistBackend(ModExpBackend):
             return self._exponentiate([ctx], [request], fault=(target, site))[0]
 
     def execute_many(self, contexts, requests):
-        lanes = max(self.capabilities.lanes, 1)
+        from repro.serving.scheduler import lane_groups
+
         results: List[Optional[BackendResult]] = [None] * len(requests)
-        groups: Dict[int, List[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.exponent, []).append(i)
-        for members in groups.values():
-            for lo in range(0, len(members), lanes):
-                chunk = members[lo : lo + lanes]
-                with self._lock:
-                    outs = self._exponentiate(
-                        [contexts[i] for i in chunk], [requests[i] for i in chunk]
-                    )
-                for i, out in zip(chunk, outs):
-                    results[i] = out
+        for chunk in lane_groups(
+            range(len(requests)),
+            max(self.capabilities.lanes, 1),
+            exponent_of=lambda i: requests[i].exponent,
+        ):
+            with self._lock:
+                outs = self._exponentiate(
+                    [contexts[i] for i in chunk], [requests[i] for i in chunk]
+                )
+            for i, out in zip(chunk, outs):
+                results[i] = out
         return results
 
 

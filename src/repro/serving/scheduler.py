@@ -34,9 +34,7 @@ Metrics (when observation is enabled):
   per coalescing round, i.e. the number of pre-computations actually
   needed (compare with ``serving.requests`` to see the savings);
 * ``serving.coalesce_group_size`` — requests per distinct
-  ``(modulus, l)`` per round;
-* ``serving.scheduler_depth`` — pending-queue gauge;
-* ``serving.requests{status=rejected}`` — bounded-queue rejections.
+  ``(modulus, l)`` per round.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
-from repro.errors import QueueFull
 from repro.montgomery.params import (
     MontgomeryContext,
     precompute_montgomery_constants,
@@ -55,7 +52,7 @@ from repro.observability import OBS
 from repro.serving.backends import BackendCapabilities, ModExpBackend
 from repro.serving.request import ModExpRequest
 
-__all__ = ["Batch", "BatchKey", "batch_key", "coalesce", "lane_groups", "BatchScheduler"]
+__all__ = ["Batch", "BatchKey", "batch_key", "coalesce", "lane_groups"]
 
 T = TypeVar("T")
 
@@ -96,8 +93,9 @@ def lane_groups(
     batch regardless of exponent.  Order within a group follows batch
     order.
 
-    :func:`repro.serving.pool.execute_batch` groups request positions
-    via ``exponent_of``, so its rows stay in request order.
+    :func:`repro.serving.pool.execute_batch` and the netlist backends'
+    ``execute_many`` group request positions via ``exponent_of``, so
+    their results stay in request order.
     """
     by_exponent: Dict[Any, List[T]] = {}
     for item in items:
@@ -203,62 +201,3 @@ def coalesce(
             OBS.record("serving.batch_size", batch.size)
     return batches
 
-
-class BatchScheduler:
-    """Bounded staging queue that drains into coalesced batches.
-
-    ``submit`` applies admission control: once ``max_pending`` requests
-    are staged, further submissions raise
-    :class:`~repro.errors.QueueFull` instead of growing the queue — the
-    serving loop turns that into an explicit rejection on the wire.
-    ``take_batches`` drains everything staged so far.
-    """
-
-    def __init__(
-        self,
-        backend: ModExpBackend,
-        *,
-        max_pending: int = 1024,
-        max_batch: int = 64,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.backend = backend
-        self.max_pending = max_pending
-        self.max_batch = max_batch
-        self._pending: List[ModExpRequest] = []
-        self._next_index = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def submit(self, request: ModExpRequest) -> None:
-        """Stage one request; raise :class:`QueueFull` past the bound."""
-        if len(self._pending) >= self.max_pending:
-            if OBS.enabled:
-                OBS.count(
-                    "serving.requests", status="rejected", backend=self.backend.name
-                )
-            raise QueueFull(
-                f"scheduler queue full ({self.max_pending} pending); retry later"
-            )
-        self._pending.append(request)
-        if OBS.enabled:
-            OBS.gauge("serving.scheduler_depth", len(self._pending))
-
-    def take_batches(self) -> List[Batch]:
-        """Drain the staged requests into dispatch-ordered batches."""
-        if not self._pending:
-            return []
-        staged, self._pending = self._pending, []
-        if OBS.enabled:
-            OBS.gauge("serving.scheduler_depth", 0)
-        batches = coalesce(
-            staged,
-            self.backend,
-            max_batch=self.max_batch,
-            start_index=self._next_index,
-        )
-        self._next_index += len(batches)
-        return batches

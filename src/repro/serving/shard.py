@@ -268,10 +268,6 @@ class ShardMap:
                 return shard
         return None
 
-    def assignments(self, keys: Sequence[int]) -> Dict[int, int]:
-        """Convenience: ``{key: owner}`` for a set of placement keys."""
-        return {key: self.owner(key) for key in keys}
-
 
 # ----------------------------------------------------------------------
 # Worker side

@@ -27,11 +27,3 @@ class TestVerilogFuzz:
         c = random_circuit(seed, n_inputs=4, n_gates=25, n_ffs=3)
         cosimulate(c, cycles=10, seed=seed)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_optimized_circuits_also_roundtrip(self, seed):
-        """Export after optimization: the two passes compose."""
-        from repro.hdl.optimize import optimize
-
-        c = random_circuit(4000 + seed, n_inputs=5, n_gates=60, n_ffs=5)
-        opt = optimize(c).circuit
-        cosimulate(opt, cycles=15, seed=seed)

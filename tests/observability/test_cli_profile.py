@@ -81,8 +81,6 @@ class TestTopFrame:
             "# TYPE serving_requests_total counter",
             'serving_requests_total{status="completed"} 40',
             'serving_requests_total{status="rejected"} 2',
-            "# TYPE serving_scheduler_depth gauge",
-            "serving_scheduler_depth 3",
             "# TYPE hdl_lane_fill histogram",
             'hdl_lane_fill_bucket{lanes="64",le="8"} 4',
             'hdl_lane_fill_bucket{lanes="64",le="+Inf"} 4',
@@ -100,7 +98,6 @@ class TestTopFrame:
         frame = _render_top_frame("http://x/metrics", self.EXPO)
         assert "completed=40" in frame
         assert "rejected=2" in frame
-        assert "scheduler=3" in frame
         assert "mean=8.0" in frame
         assert "66.3%" in frame
         assert "w0=5ms" in frame

@@ -42,22 +42,25 @@ class TestBackendLanes:
         assert "compiled" in backend.capabilities.description
 
     def test_execute_many_groups_by_exponent(self):
-        """3+2 requests with two exponents: the 3-group runs as lanes,
-        the 2-group runs as lanes, results come back in input order."""
+        """3+2 requests with two exponents, both contiguous and interleaved
+        (19, 23, 19, 23, 19): the 3-group runs as lanes, the 2-group runs
+        as lanes, results come back in input order."""
         rng = random.Random("lanes-group")
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
-        reqs = _requests(rng, n, 3, exponent=19)
-        reqs += _requests(rng, n, 2, exponent=23)
+        contiguous = _requests(rng, n, 3, exponent=19)
+        contiguous += _requests(rng, n, 2, exponent=23)
+        interleaved = [contiguous[i] for i in (0, 3, 1, 4, 2)]
         backend = GateLevelBackend()
-        registry = MetricsRegistry()
-        with observe(metrics=registry):
-            results = backend.execute_many([ctx] * len(reqs), reqs)
-        assert len(results) == len(reqs)
-        for req, res in zip(reqs, results):
-            assert res.value == pow(req.base, req.exponent, n)
-            assert res.cycles is not None and res.cycles > 0
-        assert registry.counter("hdl.lanes_packed").total() > 0
+        for reqs in (contiguous, interleaved):
+            registry = MetricsRegistry()
+            with observe(metrics=registry):
+                results = backend.execute_many([ctx] * len(reqs), reqs)
+            assert len(results) == len(reqs)
+            for req, res in zip(reqs, results):
+                assert res.value == pow(req.base, req.exponent, n)
+                assert res.cycles is not None and res.cycles > 0
+            assert registry.counter("hdl.lanes_packed").total() > 0
 
     def test_sweep_width_follows_group_size(self):
         """A group sweeps on its size rounded up to a multiple of 64 lanes,

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import QueueFull
 from repro.montgomery.params import montgomery_cache_clear
 from repro.observability import MetricsRegistry, observe
 from repro.serving.backends import IntegerBackend
 from repro.serving.request import ModExpRequest
-from repro.serving.scheduler import BatchScheduler, coalesce
+from repro.serving.scheduler import coalesce
 
 N1 = (1 << 47) + 5  # odd 48-bit
 N2 = (1 << 47) + 9
@@ -86,38 +83,3 @@ class TestDispatchOrder:
         assert [b.key for b in batches] == [(N2, 0), (N1, 0)]
         assert batches[0].estimated_cost < batches[1].estimated_cost
 
-
-class TestBoundedStaging:
-    def test_submit_past_bound_raises_queue_full(self):
-        scheduler = BatchScheduler(BACKEND, max_pending=3)
-        for _ in range(3):
-            scheduler.submit(_req(N1))
-        with pytest.raises(QueueFull, match="retry"):
-            scheduler.submit(_req(N1))
-        assert scheduler.pending_count == 3
-
-    def test_rejection_counted(self):
-        registry = MetricsRegistry()
-        scheduler = BatchScheduler(BACKEND, max_pending=1)
-        with observe(metrics=registry):
-            scheduler.submit(_req(N1))
-            with pytest.raises(QueueFull):
-                scheduler.submit(_req(N1))
-        assert (
-            registry.counter("serving.requests").value(
-                status="rejected", backend="integer"
-            )
-            == 1
-        )
-
-    def test_take_batches_drains_and_reopens(self):
-        scheduler = BatchScheduler(BACKEND, max_pending=2, max_batch=8)
-        scheduler.submit(_req(N1))
-        scheduler.submit(_req(N2))
-        batches = scheduler.take_batches()
-        assert len(batches) == 2 and scheduler.pending_count == 0
-        scheduler.submit(_req(N1))  # accepted again after the drain
-        more = scheduler.take_batches()
-        # Batch indices keep increasing across drains.
-        assert more[0].index == 2
-        assert scheduler.take_batches() == []

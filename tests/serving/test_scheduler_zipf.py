@@ -16,7 +16,7 @@ from collections import Counter
 
 from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import default_registry
-from repro.serving.scheduler import BatchScheduler, coalesce
+from repro.serving.scheduler import coalesce
 from repro.serving.shard import ShardMap
 from repro.serving.workload import WorkloadConfig, generate_workload
 
@@ -93,32 +93,6 @@ class TestShardKeyStability:
 
 
 class TestNoLossUnderBackpressure:
-    def test_scheduler_bound_rejects_but_never_drops(self):
-        requests = _zipf_requests()
-        scheduler = BatchScheduler(
-            default_registry().get("integer"), max_pending=32, max_batch=16
-        )
-        accepted, rejected = 0, 0
-        drained = []
-        for request in requests:
-            try:
-                scheduler.submit(request)
-                accepted += 1
-            except Exception:
-                rejected += 1
-                batches = scheduler.take_batches()
-                drained.extend(r for b in batches for r in b.requests)
-                scheduler.submit(request)
-                accepted += 1
-        drained.extend(
-            r for b in scheduler.take_batches() for r in b.requests
-        )
-        # Every accepted request comes back out exactly once.
-        assert accepted == len(requests)
-        assert sorted(r.request_id for r in drained) == sorted(
-            r.request_id for r in requests
-        )
-
     def test_sharded_service_wait_mode_answers_every_request(self):
         requests = _zipf_requests(seed="zipf-service")
         with ModExpService(
