@@ -16,6 +16,11 @@
   iterations ``x·y + (Σ m_i 2^i)·N ≡ 0 (mod R)`` with ``Σ m_i 2^i < R``;
   the only such value is ``M``, and the loop's ``T`` is the exact quotient
   above.
+
+  It is the one copy of that formula and of the Walter check ``T < 2N``,
+  and every golden product runs through it: its operand checks cost one
+  chained comparison unless an operand is out of range, where
+  :func:`check_radix2_operands` raises the precise error.
 * :func:`montgomery_trace` — the printed Algorithm 2 loop, bit by bit, with
   the quotient digit ``m_i`` and partial result ``T_i`` of every
   iteration.  It is the digit-by-digit reference the RTL and gate-level
@@ -37,6 +42,7 @@ __all__ = [
     "MontgomeryStep",
     "montgomery_with_subtraction",
     "montgomery_no_subtraction",
+    "check_radix2_operands",
     "montgomery_trace",
     "montgomery_reduce",
 ]
@@ -103,7 +109,13 @@ def montgomery_with_subtraction(
     return t
 
 
-def _check_radix2_operands(ctx: MontgomeryContext, x: int, y: int) -> None:
+def check_radix2_operands(ctx: MontgomeryContext, x: int, y: int) -> None:
+    """Reject a non-radix-2 context or an operand outside ``[0, 2N)``.
+
+    The :class:`~repro.errors.ParameterError` checks of
+    :func:`montgomery_no_subtraction`, callable on their own for the
+    entry operands of a chain before its first product.
+    """
     if ctx.word_bits != 1:
         raise ParameterError(
             "Algorithm 2 is the radix-2 algorithm; use repro.montgomery.radix "
@@ -113,14 +125,12 @@ def _check_radix2_operands(ctx: MontgomeryContext, x: int, y: int) -> None:
     ctx.check_operand("y", y)
 
 
-def _check_walter_bound(ctx: MontgomeryContext, t: int) -> int:
-    if t >= ctx.two_n:
-        # The Walter bound guarantees this never happens; hitting it means
-        # the context was constructed inconsistently.
-        raise SimulationError(
-            f"Algorithm 2 output {t} >= 2N={ctx.two_n}: Walter bound violated"
-        )
-    return t
+def _walter_violation(t: int, two_n: int) -> SimulationError:
+    # The Walter bound guarantees this never happens; hitting it means
+    # the context was constructed inconsistently.
+    return SimulationError(
+        f"Algorithm 2 output {t} >= 2N={two_n}: Walter bound violated"
+    )
 
 
 def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
@@ -130,16 +140,25 @@ def montgomery_no_subtraction(ctx: MontgomeryContext, x: int, y: int) -> int:
     :class:`MontgomeryContext`); returns ``T ≡ x·y·R^{-1} (mod N)`` with
     ``T < 2N``, so the result feeds the next multiplication directly.
 
-    Computes the closed form ``T = (x·y + M·N) / R`` with
-    ``M = x·y·N'' mod R`` from the context's precomputed ``N''`` and
-    ``R - 1``; the value equals the bit-serial loop of
-    :func:`montgomery_trace` for every operand pair in the window.
+    Checks both operands, then computes the closed form
+    ``T = (x·y + M·N) / R`` with ``M = (x·y mod R)·N'' mod R`` from the
+    context's precomputed ``N''`` and ``R - 1``; the value equals the
+    bit-serial loop of :func:`montgomery_trace` for every operand pair in
+    the window.  Raises :class:`~repro.errors.SimulationError` if ``T``
+    breaks Walter's ``T < 2N`` bound.
     """
-    _check_radix2_operands(ctx, x, y)
+    two_n = ctx.two_n
+    if not (
+        type(x) is int and type(y) is int and 0 <= x < two_n and 0 <= y < two_n
+    ) or ctx.word_bits != 1:
+        # Out of the fast path: raise the precise error (an int subclass passes).
+        check_radix2_operands(ctx, x, y)
     xy = x * y
     mask = ctx.r_mask
-    m = ((xy & mask) * ctx.n_neg_inv_r) & mask
-    return _check_walter_bound(ctx, (xy + m * ctx.modulus) >> ctx.r_exponent)
+    t = (xy + ((xy & mask) * ctx.n_neg_inv_r & mask) * ctx.modulus) >> ctx.r_exponent
+    if t >= two_n:
+        raise _walter_violation(t, two_n)
+    return t
 
 
 def montgomery_trace(
@@ -152,7 +171,7 @@ def montgomery_trace(
     validated against this trace digit by digit; ``T`` equals
     :func:`montgomery_no_subtraction`.
     """
-    _check_radix2_operands(ctx, x, y)
+    check_radix2_operands(ctx, x, y)
     n = ctx.modulus
     y0 = y & 1
     steps: List[MontgomeryStep] = []
@@ -162,7 +181,9 @@ def montgomery_trace(
         m_i = (t ^ (x_i & y0)) & 1  # (t0 + x_i*y0) mod 2, N' = 1
         t = (t + x_i * y + m_i * n) >> 1
         steps.append(MontgomeryStep(index=i, x_digit=x_i, m_digit=m_i, t_after=t))
-    return _check_walter_bound(ctx, t), steps
+    if t >= ctx.two_n:
+        raise _walter_violation(t, ctx.two_n)
+    return t, steps
 
 
 def montgomery_reduce(ctx: MontgomeryContext, value: int) -> int:

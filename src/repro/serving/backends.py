@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultDetected, ParameterError
@@ -197,6 +198,26 @@ def _walter_checked(t: int, n: int, lane: Optional[int] = None) -> int:
     return t
 
 
+@lru_cache(maxsize=256)
+def _golden_exponentiator(ctx: MontgomeryContext):
+    """The golden exponentiator over ``ctx``, built once per context.
+
+    Keyed by the whole (frozen) context, so two contexts that differ in
+    any constant never share one, and a request skips the exponentiator's
+    set-up.  Its one mutable field, the running ``cycles`` total, is
+    never read on this path.
+    """
+    from repro.systolic.exponentiator import ModularExponentiator
+
+    return ModularExponentiator(ctx, engine="golden")
+
+
+@lru_cache(maxsize=256)
+def _garner_coefficient(p: int, q: int) -> int:
+    """``q⁻¹ mod p``, the CRT recombination constant of one key."""
+    return pow(q, -1, p)
+
+
 # ----------------------------------------------------------------------
 # Concrete backends
 # ----------------------------------------------------------------------
@@ -219,11 +240,7 @@ class IntegerBackend(ModExpBackend):
     )
 
     def execute(self, ctx, request):
-        from repro.systolic.exponentiator import ModularExponentiator
-
-        run = ModularExponentiator(ctx, engine="golden").exponentiate(
-            request.base, request.exponent
-        )
+        run = _golden_exponentiator(ctx).exponentiate(request.base, request.exponent)
         return BackendResult(run.result, run.cycles)
 
 
@@ -253,8 +270,6 @@ class CRTBackend(ModExpBackend):
         return 2 * mmm_cycles_corrected(half) * mults
 
     def execute(self, ctx, request):
-        from repro.systolic.exponentiator import ModularExponentiator
-
         p, q = request.factors
         c, d = request.base, request.exponent
         cycles = 0
@@ -266,16 +281,13 @@ class CRTBackend(ModExpBackend):
             if d_half == 0:
                 # x^0 = 1 for invertible x, 0 for x = 0 — no cycles spent.
                 return 1 % prime if residue else 0
-            exp = ModularExponentiator(
-                precompute_montgomery_constants(prime), engine="golden"
-            )
+            exp = _golden_exponentiator(precompute_montgomery_constants(prime))
             run = exp.exponentiate(residue, d_half)
             cycles += run.cycles
             return run.result
 
         m_p, m_q = half(p), half(q)
-        q_inv = pow(q, -1, p)
-        h = (q_inv * (m_p - m_q)) % p
+        h = (_garner_coefficient(p, q) * (m_p - m_q)) % p
         return BackendResult(m_q + h * q, cycles)
 
 

@@ -703,8 +703,11 @@ class ShardPool(WindowedPool):
         for the ring owner, as it always has.
         """
         alive = self.map.alive
+        # One ring position per distinct key: a hot key split into
+        # several batches is hashed once.
+        positions = {key: batch_placement_key(key) for key in {b.key for b in batches}}
         try:
-            homes = [self.map.owner(batch_placement_key(b.key)) for b in batches]
+            homes = [self.map.owner(positions[b.key]) for b in batches]
         except ShardFailure:
             return [None] * len(batches)
         targets = place_batches(
@@ -891,14 +894,20 @@ class ShardPool(WindowedPool):
         placed batch falls back to the ring owner, and a hedge raises
         :class:`ShardFailure` at once.  A ring owner flagged dead
         (respawn in progress) is retried against the ring until an alive
-        owner accepts the batch.
+        owner accepts the batch.  The batch key's ring position is
+        hashed only when the ring is asked: a placed batch's target
+        already came from it in :meth:`place`.
         """
-        key = batch_placement_key(batch_key(self._capabilities, pending.requests[0]))
+        key: Optional[int] = None
         give_up = time.monotonic() + 30.0
         while True:
             if target is not None:
                 owner = target
             else:
+                if key is None:
+                    key = batch_placement_key(
+                        batch_key(self._capabilities, pending.requests[0])
+                    )
                 try:
                     owner = self.map.owner(key)
                 except ShardFailure:

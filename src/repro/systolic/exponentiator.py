@@ -26,19 +26,30 @@ the one Algorithm 3 chain, :func:`~repro.montgomery.exponent.modexp_chain`,
 which :meth:`ModularExponentiator.exponentiate` drives with
 :func:`~repro.montgomery.exponent.run_chain`.  No intermediate value is
 ever reduced — everything lives in the ``[0, 2N)`` window, which is the
-point of the no-subtraction bound.  :func:`check_cycles` is the
-measured-versus-model cross-check, shared with the netlist serving
-backend.
+point of the no-subtraction bound.
+
+The golden chain checks its entry operands before its first product:
+the message against ``[0, N)`` and both operands of the
+pre-multiplication (the message and ``R² mod N``) against ``[0, 2N)``,
+so a bad context fails before any span opens.  Each product is then one
+counted :func:`~repro.montgomery.algorithms.montgomery_no_subtraction`
+call and nothing else.  Its Walter check ``T < 2N`` keeps every
+later operand in range: each is an earlier product, the standing ``M·R``
+(the first product) or the post-multiplication's 1.  The product's own
+operand checks therefore never fire inside a chain and cost one chained
+comparison.  The driver counts the products, and :func:`check_cycles` —
+the measured-versus-model cross-check, shared with the netlist serving
+backend — holds the count times the per-product cost to
+:func:`~repro.systolic.timing.exponentiation_cycles_measured_model`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ParameterError
-from repro.montgomery.algorithms import montgomery_no_subtraction
-from repro.montgomery.exponent import modexp_chain, run_chain
+from repro.montgomery.algorithms import check_radix2_operands, montgomery_no_subtraction
+from repro.montgomery.exponent import chain_kinds, modexp_chain, run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS
 from repro.systolic.mmmc import MMMC
@@ -57,17 +68,44 @@ def check_cycles(measured: int, expected: int) -> None:
         raise AssertionError(f"measured {measured} cycles, cost model says {expected}")
 
 
-@dataclass
 class ExponentiationRun:
-    """Result and measured costs of one exponentiation."""
+    """Result and measured costs of one exponentiation.
 
-    result: int
-    cycles: int
-    operations: List[Tuple[str, int]] = field(default_factory=list)
+    ``operations`` is the ``(kind, cycles)`` log, one entry per
+    multiplication.  A hardware engine appends each product's measured
+    cost as it runs.  Every golden product costs the same modelled
+    cycles, so a golden chain only counts its products; its log is
+    derived from the exponent's chain kinds
+    (:func:`~repro.montgomery.exponent.chain_kinds`) on first read.
+    """
+
+    def __init__(
+        self,
+        result: int = 0,
+        cycles: int = 0,
+        *,
+        chain: Optional[Tuple[int, int, int]] = None,
+    ) -> None:
+        self.result = result
+        self.cycles = cycles
+        self._operations: List[Tuple[str, int]] = []
+        #: ``(exponent, cost per product, products)`` of a golden chain
+        #: whose log has not been derived yet.
+        self._chain = chain
+
+    @property
+    def operations(self) -> List[Tuple[str, int]]:
+        if self._chain is not None:
+            exponent, cost, _ = self._chain
+            self._operations = [(kind, cost) for kind in chain_kinds(exponent)]
+            self._chain = None
+        return self._operations
 
     @property
     def num_multiplications(self) -> int:
-        return len(self.operations)
+        if self._chain is not None:
+            return self._chain[2]
+        return len(self._operations)
 
 
 class ModularExponentiator:
@@ -145,27 +183,19 @@ class ModularExponentiator:
 
     # ------------------------------------------------------------------
     def _mont(self, kind: str, x: int, y: int, run: ExponentiationRun) -> int:
-        n = self.ctx.modulus
+        """One product on the hardware multiplier, logged into ``run``."""
         observed = OBS.enabled
         if observed:
             OBS.begin(kind, cat="exponentiator")
-        if self.mmmc is not None:
-            rec = self.mmmc.multiply(x, y, n)
-            value, cost = rec.result, rec.cycles
-        else:
-            value = montgomery_no_subtraction(self.ctx, x, y)
-            cost = self._op_cycles
-            if observed:
-                # The golden engine skips the RTL, so the trace clock
-                # advances by the modelled cost in one jump.
-                OBS.tick(cost)
+        rec = self.mmmc.multiply(x, y, self.ctx.modulus)
+        cost = rec.cycles
         if observed:
             OBS.end(cycles=cost)
             OBS.count("exponentiator.operations", kind=kind)
             OBS.record("exponentiator.operation_cycles", cost, kind=kind)
         run.cycles += cost
         run.operations.append((kind, cost))
-        return value
+        return rec.result
 
     def exponentiate(self, message: int, exponent: int) -> ExponentiationRun:
         """Compute ``message ** exponent mod N`` through the hardware model.
@@ -182,8 +212,11 @@ class ModularExponentiator:
             )
         if exponent <= 0:
             raise ParameterError(f"exponent must be >= 1, got {exponent}")
-        run = ExponentiationRun(result=0, cycles=0)
-        if OBS.enabled:
+        if self.mmmc is None:
+            # The chain's entry operands; see the module docstring.
+            check_radix2_operands(ctx, message, ctx.r2_mod_n)
+        observed = OBS.enabled
+        if observed:
             OBS.begin(
                 "exponentiate",
                 cat="exponentiator",
@@ -191,13 +224,17 @@ class ModularExponentiator:
                 engine=self.engine,
                 exponent_bits=exponent.bit_length(),
             )
-        a = run_chain(
-            modexp_chain(message, exponent, ctx.r2_mod_n),
-            lambda kind, x, y: self._mont(kind, x, y, run),
-        )
+        chain = modexp_chain(message, exponent, ctx.r2_mod_n)
+        if self.mmmc is None:
+            a, count = self._run_golden(lambda mont: run_chain(chain, mont), observed)
+            cost = self._op_cycles
+            run = ExponentiationRun(cycles=count * cost, chain=(exponent, cost, count))
+        else:
+            run = ExponentiationRun()
+            a = run_chain(chain, lambda kind, x, y: self._mont(kind, x, y, run))
         run.result = a % ctx.modulus
         self.cycles += run.cycles
-        if OBS.enabled:
+        if observed:
             OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)
@@ -206,6 +243,42 @@ class ModularExponentiator:
             exponentiation_cycles_measured_model(ctx.l, exponent, mode=self.mode).total,
         )
         return run
+
+    def _run_golden(
+        self, drive: Callable[[Callable[[str, int, int], int]], int], observed: bool
+    ) -> Tuple[int, int]:
+        """Run ``drive(mont)`` with the golden per-product step.
+
+        ``mont(kind, x, y)`` is one
+        :func:`~repro.montgomery.algorithms.montgomery_no_subtraction`
+        call, counted.  Returns what ``drive`` returns and the number of
+        products.  The observed path wraps the same step in one span and
+        the ``exponentiator.operations`` / ``operation_cycles`` metrics
+        per product; the golden engine skips the RTL, so the trace clock
+        advances by the modelled cost in one jump.
+        """
+        ctx = self.ctx
+        count = 0
+
+        def mont(kind: str, x: int, y: int) -> int:
+            nonlocal count
+            count += 1
+            return montgomery_no_subtraction(ctx, x, y)
+
+        if not observed:
+            return drive(mont), count
+        cost = self._op_cycles
+
+        def traced(kind: str, x: int, y: int) -> int:
+            OBS.begin(kind, cat="exponentiator")
+            value = mont(kind, x, y)
+            OBS.tick(cost)
+            OBS.end(cycles=cost)
+            OBS.count("exponentiator.operations", kind=kind)
+            OBS.record("exponentiator.operation_cycles", cost, kind=kind)
+            return value
+
+        return drive(traced), count
 
     def exponentiate_windowed(
         self,
@@ -239,8 +312,8 @@ class ModularExponentiator:
             sched = binary_schedule(exponent)
         else:
             raise ParameterError(f"unknown method {method!r}")
-        run = ExponentiationRun(result=0, cycles=0)
-        if OBS.enabled:
+        observed = OBS.enabled
+        if observed:
             OBS.begin(
                 "exponentiate_windowed",
                 cat="exponentiator",
@@ -248,13 +321,25 @@ class ModularExponentiator:
                 method=method,
                 window=window,
             )
+        if self.mmmc is None:
+            cost = self._op_cycles
+            value, count = self._run_golden(
+                lambda mont: execute_schedule(
+                    self.ctx, sched, message, mont=lambda ctx, x, y: mont("window-op", x, y)
+                ),
+                observed,
+            )
+            run = ExponentiationRun(value, count * cost)
+            run.operations.extend([("window-op", cost)] * count)
+        else:
+            run = ExponentiationRun()
 
-        def hook(ctx: MontgomeryContext, x: int, y: int) -> int:
-            return self._mont("window-op", x, y, run)
+            def hook(ctx: MontgomeryContext, x: int, y: int) -> int:
+                return self._mont("window-op", x, y, run)
 
-        run.result = execute_schedule(self.ctx, sched, message, mont=hook)
+            run.result = execute_schedule(self.ctx, sched, message, mont=hook)
         self.cycles += run.cycles
-        if OBS.enabled:
+        if observed:
             OBS.end(cycles=run.cycles, multiplications=run.num_multiplications)
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)

@@ -10,10 +10,11 @@ shard while a move strictly narrows the gap.  The properties pinned here:
   movable batch;
 * the result is deterministic.
 
-The pool-level tests cover what placement changes around it: a placed
-or hedged batch whose target is down returns at once, and a hedge never
-lands on the shard that holds its primary, even when placement moved the
-primary off its ring owner.
+The pool-level tests cover what placement changes around it: one
+dispatch hashes each batch key's ring position once, a placed or hedged
+batch whose target is down returns at once, and a hedge never lands on
+the shard that holds its primary, even when placement moved the primary
+off its ring owner.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig
 from repro.serving import ModExpRequest, ModExpService, WorkloadConfig, generate_workload
+from repro.serving import shard as shard_module
 from repro.serving.backends import default_registry
 from repro.serving.pool import InlinePool
 from repro.serving.scheduler import coalesce
@@ -221,6 +224,39 @@ class TestPoolPlacement:
         batches = registry.counter("serving.shard_batches")
         assert batches.total(shard="0") == 1
         assert batches.total(shard="1") == 1
+
+    def test_one_dispatch_hashes_each_batch_key_once(self, monkeypatch):
+        # Three keys, each split over several batches by max_batch: the
+        # placement and every send of one dispatch hash a key at most once.
+        rng = random.Random("one-hash")
+        moduli = [random_odd_modulus(64, rng) for _ in range(3)]
+        requests = [
+            r for i, n in enumerate(moduli) for r in _batch(n, 4 + 3 * i, f"k{i}-")
+        ]
+        backend = default_registry().get("integer")
+        batches = coalesce(requests, backend, max_batch=3)
+        keys = {b.key for b in batches}
+        assert len(batches) > len(keys) == 3
+        hashed = Counter()
+        real = shard_module.batch_placement_key
+
+        def counting(key):
+            hashed[key] += 1
+            return real(key)
+
+        monkeypatch.setattr(shard_module, "batch_placement_key", counting)
+        with ShardPool(shards=2, backend="integer", queue_limit=256) as pool:
+            targets = pool.place(batches)
+            futures = [
+                f
+                for batch, target in zip(batches, targets)
+                for f in pool.submit_batch(batch.requests, shard=target)
+            ]
+            payloads = [f.result(timeout=30) for f in futures]
+        assert hashed == Counter({key: 1 for key in keys})
+        sent = [r for batch in batches for r in batch.requests]
+        for request, payload in zip(sent, payloads):
+            assert payload[0] == request.expected()
 
     def test_inline_pool_places_everything_on_its_one_executor(self):
         pool = InlinePool(default_registry().get("integer"), registry=default_registry())

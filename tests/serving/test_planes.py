@@ -8,12 +8,15 @@ come back with the same values, cycles and error types, and the same
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
+from repro.rsa.primes import generate_prime
 from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import GateLevelBackend
 from repro.utils.rng import random_odd_modulus
@@ -34,6 +37,31 @@ def _integer_workload(count=24, seed="planes"):
         )
         for i in range(count)
     ]
+
+
+def _crt_workload(count=20, seed="planes-crt"):
+    """RSA-shaped requests over three 128-bit keys N = p·q, with ``factors``.
+
+    ``c0``–``c2`` have bases 0, p and 2q (a zero residue mod both
+    factors, mod p, mod q); ``c3``'s exponent (p-1)(q-1) reduces to 0
+    mod both p-1 and q-1, so neither half runs a chain.
+    """
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(3):
+        p = generate_prime(64, rng)
+        q = generate_prime(64, rng)
+        while q == p:
+            q = generate_prime(64, rng)
+        keys.append((p, q))
+    out = []
+    for i in range(count):
+        p, q = keys[i % 3]
+        n = p * q
+        base = (0, p, 2 * q)[i] if i < 3 else rng.randrange(n)
+        exponent = (p - 1) * (q - 1) if i == 3 else rng.randrange(1, n)
+        out.append(ModExpRequest(base, exponent, n, factors=(p, q), request_id=f"c{i}"))
+    return out
 
 
 def _gate_workload():
@@ -85,6 +113,19 @@ class TestPlaneEquivalence:
         (outcome, totals, _), _ = _assert_planes_agree(requests, backend="integer")
         assert [value for _, value, _, _ in outcome] == [r.expected() for r in requests]
         assert totals["completed"] == len(requests)
+
+    def test_crt_rsa_values_and_cycles_are_pinned(self):
+        # sha256 of [[id, value, cycles, error_type], ...], recorded while
+        # every golden product still checked both of its operands.
+        requests = _crt_workload()
+        (outcome, totals, _), _ = _assert_planes_agree(requests, backend="crt-rsa")
+        assert [value for _, value, _, _ in outcome] == [r.expected() for r in requests]
+        assert totals["completed"] == len(requests)
+        digest = hashlib.sha256(json.dumps([list(row) for row in outcome]).encode())
+        assert digest.hexdigest() == (
+            "66c9958c1cff77e5f53e76699151151da0635d39e2ff861c3a229df0a94e97bd"
+        )
+        assert sum(cycles for _, _, cycles, _ in outcome) == 709200
 
     def test_gate_with_full_lane_packing(self):
         requests = _gate_workload()

@@ -1,14 +1,18 @@
 """Tests for the modular exponentiator (Section 4.5)."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.montgomery.exponent import montgomery_modexp
 from repro.montgomery.params import MontgomeryContext
+from repro.observability import MetricsRegistry, SpanTracer, observe
+from repro.serving.backends import IntegerBackend
+from repro.serving.request import ModExpRequest
 from repro.systolic.exponentiator import ModularExponentiator
 from repro.systolic.mmmc import MMMC
 from repro.systolic.timing import (
@@ -183,3 +187,55 @@ class TestValidation:
         exp = ModularExponentiator(MontgomeryContext(11), engine="golden")
         with pytest.raises(ParameterError):
             exp.exponentiate(3, 0)
+
+
+def _walter_breaking_context(n=251):
+    """``test_walter_bound_violation_is_caught``'s inconsistent context:
+    R = 2^(l+1) < 4N, so products can leave [0, 2N)."""
+    ctx = MontgomeryContext(n)
+    r_exp = n.bit_length() + 1
+    for name, value in (
+        ("r_exponent", r_exp),
+        ("R", 1 << r_exp),
+        ("r_mask", (1 << r_exp) - 1),
+        ("n_neg_inv_r", (-pow(n, -1, 1 << r_exp)) % (1 << r_exp)),
+    ):
+        object.__setattr__(ctx, name, value)
+    return ctx
+
+
+class TestGoldenChainGuards:
+    """The golden chain checks its entry operands once and Walter's bound
+    on every product; a broken context or operand never returns a value."""
+
+    def test_walter_violation_mid_chain_is_caught(self):
+        # The entry operands pass; a later square leaves [0, 2N).
+        ctx = _walter_breaking_context()
+        with pytest.raises(SimulationError, match="Walter bound violated"):
+            ModularExponentiator(ctx, engine="golden").exponentiate(2, 65537)
+
+    def test_walter_violation_through_the_integer_backend(self):
+        ctx = _walter_breaking_context()
+        request = ModExpRequest(2, 65537, 251)
+        with pytest.raises(SimulationError, match="Walter bound violated"):
+            IntegerBackend().execute(ctx, request)
+
+    @pytest.mark.parametrize("base", [-1, 251, 502])
+    def test_base_outside_n_keeps_its_message(self, base):
+        exp = ModularExponentiator(MontgomeryContext(251), engine="golden")
+        message = f"message must be in [0, N); got {base} for N=251"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            exp.exponentiate(base, 3)
+
+    @pytest.mark.parametrize("r2", [502, 503, 10**6])
+    def test_corrupt_r2_fails_the_entry_check_before_any_product(self, r2):
+        ctx = MontgomeryContext(251)
+        object.__setattr__(ctx, "r2_mod_n", r2)
+        exp = ModularExponentiator(ctx, engine="golden")
+        registry, tracer = MetricsRegistry(), SpanTracer()
+        message = f"y={r2} outside Algorithm 2 window [0, 502)"
+        with observe(metrics=registry, tracer=tracer):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                exp.exponentiate(5, 65537)
+        assert tracer.open_spans == 0 and tracer.spans() == []
+        assert registry.counter("exponentiator.operations").total() == 0
