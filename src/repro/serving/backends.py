@@ -305,7 +305,7 @@ class _NetlistBackend(ModExpBackend):
     sweep per multiplication, its operands kept as bus-slot words from the
     first product to the last, with the Walter ``T < 2N`` bound checked on
     every product of every lane and the measured cycles checked against
-    :func:`~repro.systolic.timing.exponentiation_cycles_measured_model`
+    :func:`~repro.systolic.timing.exponentiation_cycles_measured`
     once per group.  The simulators are stateful, so a lock keeps
     concurrent callers from interleaving multiplications on one instance.
     """
@@ -366,7 +366,7 @@ class _NetlistBackend(ModExpBackend):
         """
         from repro.hdl.compiled import pack_slots, slots_below, unpack_slots
         from repro.systolic.exponentiator import check_cycles
-        from repro.systolic.timing import exponentiation_cycles_measured_model
+        from repro.systolic.timing import exponentiation_cycles_measured
 
         l = contexts[0].l
         assert all(ctx.l == l for ctx in contexts), "a lane sweep needs one l"
@@ -413,7 +413,7 @@ class _NetlistBackend(ModExpBackend):
         # slot 0), one transpose out for the final products.
         chain = modexp_chain(slots(bases), exponent, slots(r2s), one=(1 << lanes) - 1)
         values = unpack_slots(run_chain(chain, mont), width, lanes)[:k]
-        check_cycles(cycles, exponentiation_cycles_measured_model(l, exponent).total)
+        check_cycles(cycles, exponentiation_cycles_measured(l, exponent))
         return [BackendResult(v % n, cycles) for v, n in zip(values, ns)]
 
     def execute(self, ctx, request):

@@ -25,14 +25,14 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DeadlineExceeded, ParameterError, QueueFull
 from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS, SpanTracer, flightrec_armed, observe
 from repro.robustness.chaos import ChaosConfig, FaultPlan
 from repro.serving.request import ModExpRequest
-from repro.serving.scheduler import lane_groups
+from repro.serving.scheduler import BatchKey, batch_key, lane_groups
 
 __all__ = [
     "SlotWindow",
@@ -226,8 +226,10 @@ def execute_batch(
     request that expired while queued or in transit gets a typed
     :class:`~repro.errors.DeadlineExceeded` row instead of a modexp
     nobody is waiting for.  Backends declaring ``capabilities.lanes > 1``
-    run same-exponent requests as one bit-sliced :meth:`execute_many`
-    sweep (wall time amortized evenly over the group); everything else
+    cut the requests by :func:`~repro.serving.scheduler.batch_key` (a
+    shard frame may mix keys) and run each key's same-exponent requests
+    as one bit-sliced :meth:`execute_many` sweep (wall time amortized
+    evenly over the group), one batch key per call; everything else
     runs one :func:`execute_with_chaos` call per request.  Lane packing
     is suspended under chaos: every request needs its own fault
     decision, which a lock-step sweep cannot honour.
@@ -252,12 +254,21 @@ def execute_batch(
             live.append(pos)
     caps = backend.capabilities
     if caps.lanes > 1 and chaos is None:
-        groups = lane_groups(
-            live,
-            caps.lanes,
-            mixed=caps.mixed_exponent_lanes,
-            exponent_of=lambda pos: requests[pos].exponent,
-        )
+        # A shard frame may carry several batch keys; a lane group never
+        # spans two (one width for rtl/gate, one (modulus, l) for the chip).
+        by_key: Dict[BatchKey, List[int]] = {}
+        for pos in live:
+            by_key.setdefault(batch_key(caps, requests[pos]), []).append(pos)
+        groups = [
+            group
+            for positions in by_key.values()
+            for group in lane_groups(
+                positions,
+                caps.lanes,
+                mixed=caps.mixed_exponent_lanes,
+                exponent_of=lambda pos: requests[pos].exponent,
+            )
+        ]
     else:
         groups = [[pos] for pos in live]
     for group in groups:
@@ -387,6 +398,15 @@ class WindowedPool:
     ) -> bool:
         """Block until a ``slots``-request batch would be admitted."""
         return self._window.wait(timeout, slots=slots)
+
+    def dispatch_scope(self) -> ContextManager[None]:
+        """The scope one dispatch's ``submit_batch`` calls run in.
+
+        Nothing to collect here: every batch is executed or sent as it
+        is submitted.  The shard pool overrides it to send one frame per
+        target shard.
+        """
+        return nullcontext()
 
     def __enter__(self) -> "WindowedPool":
         return self

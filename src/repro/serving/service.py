@@ -11,7 +11,8 @@ scripts and the benchmarks.  Lifecycle of one request:
    backends) and pre-computes the Montgomery constants once per distinct
    ``(modulus, l)``;
 3. **dispatch** — each batch becomes one ``submit_batch`` call on the
-   plane's pool; saturation either blocks the submitter
+   plane's pool (on the shard plane the batches of one dispatch then
+   travel as one frame per shard); saturation either blocks the submitter
    (``on_full="wait"``, batch mode) or rejects with ``QueueFull``
    (``on_full="reject"``, the serving loop);
 4. **collect** — futures are harvested in dispatch order with the
@@ -467,67 +468,72 @@ class ModExpService:
 
         The pool places the whole dispatch once (on the shard plane,
         hot batches spread over the alive shards; see
-        :func:`~repro.serving.shard.place_batches`).  One
-        ``submit_batch`` per batch, to its placed shard, returns one
-        future per request — already resolved on the inline plane, in
-        flight on the shard plane.  Backpressure is batch-granular: a
-        batch that does not fit the window is rejected or waited out
-        whole.
+        :func:`~repro.serving.shard.place_batches`).  Admission is per
+        batch: one ``submit_batch`` per batch, to its placed shard,
+        returns one future per request, and backpressure is
+        batch-granular — a batch that does not fit the window is
+        rejected or waited out whole.  Transport is per shard: the loop
+        runs in the pool's ``dispatch_scope``, so on the shard plane the
+        batches of one dispatch travel as one frame per target shard,
+        sent when the scope closes or before a wait.  The inline plane
+        runs each batch as it is submitted; its futures come back
+        already resolved.
         """
         cheap = self._brownout is not None and self._brownout.reroute_cheap
         dispatched: List[_Entry] = []
         targets = self.pool.place(batches)
-        for batch, target in zip(batches, targets):
-            entries = [entries_by_id[id(r)].popleft() for r in batch.requests]
-            for entry, context in zip(entries, batch.contexts):
-                entry.batch_index = batch.index
-                entry.context = context
-            dispatched.extend(entries)
-            live = self._shed_at_dispatch(entries)
-            if not live:
-                continue
-            while True:
-                try:
-                    now = time.monotonic()
-                    futures = self.pool.submit_batch(
-                        [e.request for e in live],
-                        contexts=[e.context for e in live],
-                        cheap_mode=cheap,
-                        shard=target,
-                    )
-                    for entry, future in zip(live, futures):
-                        entry.submitted_at = now
-                        entry.future = future
-                    if OBS.enabled:
-                        OBS.count(
-                            "serving.requests",
-                            len(live),
-                            status="accepted",
-                            backend=self.backend.name,
+        with self.pool.dispatch_scope():
+            for batch, target in zip(batches, targets):
+                entries = [entries_by_id[id(r)].popleft() for r in batch.requests]
+                for entry, context in zip(entries, batch.contexts):
+                    entry.batch_index = batch.index
+                    entry.context = context
+                dispatched.extend(entries)
+                live = self._shed_at_dispatch(entries)
+                if not live:
+                    continue
+                while True:
+                    try:
+                        now = time.monotonic()
+                        futures = self.pool.submit_batch(
+                            [e.request for e in live],
+                            contexts=[e.context for e in live],
+                            cheap_mode=cheap,
+                            shard=target,
                         )
-                    break
-                except QueueFull as exc:
-                    if on_full == "reject":
-                        for entry in live:
-                            entry.result = ModExpResult.failure(
-                                entry.request.request_id,
-                                exc,
-                                backend=self.backend.name,
-                                batch_index=batch.index,
-                            )
+                        for entry, future in zip(live, futures):
+                            entry.submitted_at = now
+                            entry.future = future
                         if OBS.enabled:
                             OBS.count(
                                 "serving.requests",
                                 len(live),
-                                status="rejected",
+                                status="accepted",
                                 backend=self.backend.name,
                             )
                         break
-                    # Wait for the whole batch's worth of slots, not just
-                    # one — a below-limit-but-too-full window would
-                    # otherwise bounce the waiter straight back into
-                    # QueueFull in a hot loop.
-                    self.pool.wait_for_capacity(timeout=0.5, slots=len(live))
+                    except QueueFull as exc:
+                        if on_full == "reject":
+                            for entry in live:
+                                entry.result = ModExpResult.failure(
+                                    entry.request.request_id,
+                                    exc,
+                                    backend=self.backend.name,
+                                    batch_index=batch.index,
+                                )
+                            if OBS.enabled:
+                                OBS.count(
+                                    "serving.requests",
+                                    len(live),
+                                    status="rejected",
+                                    backend=self.backend.name,
+                                )
+                            break
+                        # Wait for the whole batch's worth of slots, not
+                        # just one — a below-limit-but-too-full window
+                        # would otherwise bounce the waiter straight back
+                        # into QueueFull in a hot loop.
+                        self.pool.wait_for_capacity(timeout=0.5, slots=len(live))
         return dispatched
 
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A worker process starts with cold caches — the compiled-kernel LRU and
 the ``precompute_montgomery_constants()`` table are per-process — so the
 plane sends every batch of one batch key (see
-:func:`~repro.serving.scheduler.batch_key`) to the same worker, a whole
-coalesced batch at a time.  Three pieces:
+:func:`~repro.serving.scheduler.batch_key`) to the same worker, whole
+coalesced batches at a time.  Four pieces:
 
 * :class:`ShardMap` — a consistent-hash ring that assigns every batch
   key a **home shard**.  Same key, same shard, every time — so each
@@ -22,17 +22,22 @@ coalesced batch at a time.  Three pieces:
   Batches start on their ring owners; hot (multi-request) batches move
   to the least-loaded alive shard while that lowers the peak load, and
   single-request batches — cold keys — stay home.
-* the **batch frame** wire (see :mod:`repro.serving.wire`) — one
-  coalesced batch travels to its shard as one length-prefixed binary
-  message over a duplex pipe, big-int operands as raw bytes; the shard
-  answers with one result frame carrying every outcome plus a telemetry
-  blob for the whole batch.  No pickling, no per-request IPC.
-* :class:`ShardPool` — the dispatcher.  :meth:`~ShardPool.submit_batch`
-  reserves one :class:`~repro.serving.pool.SlotWindow` slot per request,
-  ships the frame, and returns one future per request resolving to the
-  same ``(value, cycles, wall_us, worker, span)`` payload the inline
-  plane produces — so the service's collector, verifier, retry ladder
-  and SLO accounting do not know which plane ran the batch.
+* the **batch frame** wire (see :mod:`repro.serving.wire`) — the
+  batches one dispatch placed on a shard travel to it as one
+  length-prefixed binary message over a duplex pipe, big-int operands
+  as raw bytes; the shard answers with one result frame carrying every
+  outcome plus a telemetry blob for the whole frame.  No pickling, no
+  per-request IPC.
+* :class:`ShardPool` — the dispatcher.  Admission is per batch:
+  :meth:`~ShardPool.submit_batch` reserves one
+  :class:`~repro.serving.pool.SlotWindow` slot per request and returns
+  one future per request resolving to the same ``(value, cycles,
+  wall_us, worker, span)`` payload the inline plane produces — so the
+  service's collector, verifier, retry ladder and SLO accounting do not
+  know which plane ran the batch.  Transport is per shard: inside a
+  :meth:`~ShardPool.dispatch_scope` the batches join one open frame per
+  target, sent when the scope closes or before the submitter waits for
+  capacity.
 
 **Failure semantics.**  Failures are graded, not binary.  Each shard
 slot carries a :class:`~repro.serving.health.ShardHealth` machine
@@ -42,20 +47,21 @@ are strikes that *degrade*; a stuck worker or persistent strikes start a
 period, then the worker is recycled); only pipe EOF is *death*.  A
 malformed frame in either direction — the worker NACKs a batch it
 cannot decode; the parent catches a result frame that fails its crc —
-requeues the affected batch exactly once without killing anything,
+requeues the affected frame exactly once without killing anything,
 because the pipe's message boundaries keep the stream parseable past a
 damaged payload.  A shard death (chaos kill, OOM, crash) surfaces
 as EOF on its pipe.  The reader thread marks the shard dead on the ring,
 respawns a fresh worker (counting ``serving.worker_restarts``), marks it
-alive again, and requeues every batch the dead worker held — exactly
-once, with the attempt index bumped so a deterministic chaos kill does
-not simply re-fire.  A batch whose requeue *also* dies fails its futures
-with :class:`~repro.errors.ShardFailure`, handing the requests to the
+alive again, and requeues every frame the dead worker held — exactly
+once, whole, to the ring owner of its first request, with the attempt
+index bumped so a deterministic chaos kill does not simply re-fire.  A
+frame whose requeue *also* dies fails its futures with
+:class:`~repro.errors.ShardFailure`, handing the requests to the
 service's inline retry ladder.  A worker sends its result frame only
-after finishing the whole batch, and the pipe delivers buffered frames
-before EOF, so a batch is never both answered and requeued.
+after finishing the whole frame, and the pipe delivers buffered frames
+before EOF, so a request is never both answered and requeued.
 
-**Telemetry.**  When the parent observes, each worker wraps every batch
+**Telemetry.**  When the parent observes, each worker wraps every frame
 in a fresh local observation session and ships the registry snapshot
 home in the result frame; the parent merges it with ``shard=N`` /
 ``worker=shardN`` labels.  When the parent also has a tracer, the span
@@ -76,9 +82,9 @@ import itertools
 import multiprocessing
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from concurrent.futures import Future, InvalidStateError
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DeadlineExceeded,
@@ -502,9 +508,10 @@ def _mp_context():
 class ShardPool(WindowedPool):
     """Front-end dispatcher over N pre-forked, key-homed workers.
 
-    The service's shard plane: :meth:`submit_batch` ships a coalesced
-    batch as one frame, the rest of the surface (``depth``, ``load``,
-    ``abandon``, ``wait_for_capacity``) comes from
+    The service's shard plane: :meth:`submit_batch` admits a coalesced
+    batch, and inside a :meth:`dispatch_scope` the batches of one
+    dispatch travel as one frame per target shard; the rest of the
+    surface (``depth``, ``load``, ``abandon``) comes from
     :class:`~repro.serving.pool.WindowedPool`.  One slot of the shared
     :class:`SlotWindow` is reserved per *request*; a batch larger than
     the whole window is admitted when the window is empty so ``wait``
@@ -557,6 +564,8 @@ class ShardPool(WindowedPool):
         self._closed = False
         self._mp = _mp_context()
         self._batch_seq = itertools.count(1)
+        # Per thread: the open frames of a dispatch_scope, by target.
+        self._staging = threading.local()
         self._started_at = time.monotonic()
         self._lifecycle = threading.Lock()  # serializes respawn/shutdown
         self.health_config = health or HealthConfig()
@@ -725,6 +734,31 @@ class ShardPool(WindowedPool):
                     )
         return targets
 
+    @contextmanager
+    def dispatch_scope(self) -> Iterator[None]:
+        """Collect this thread's batches into one frame per target shard.
+
+        Inside the scope :meth:`submit_batch` admits each batch as it
+        always does but stages its requests on the open frame of its
+        target instead of sending them.  Each open frame is encoded once
+        and sent with one pipe write when the scope closes, and before
+        :meth:`wait_for_capacity` blocks, so a wait never stands on slots
+        that were reserved but not sent.  Scopes are per thread.
+        """
+        self._staging.frames = {}
+        try:
+            yield
+        finally:
+            self._send_staged()
+            self._staging.frames = None
+
+    def wait_for_capacity(
+        self, timeout: Optional[float] = None, *, slots: int = 1
+    ) -> bool:
+        """Send this thread's staged frames, then block until ``slots`` fit."""
+        self._send_staged()
+        return super().wait_for_capacity(timeout, slots=slots)
+
     def submit_batch(
         self,
         requests: Sequence[ModExpRequest],
@@ -733,45 +767,73 @@ class ShardPool(WindowedPool):
         cheap_mode: bool = False,
         shard: Optional[int] = None,
     ) -> List[Future]:
-        """Ship one coalesced batch to one shard as one frame.
+        """Admit one coalesced batch; send it to ``shard``.
 
-        The batch goes to ``shard`` (a :meth:`place` target) while that
-        shard is alive, else to its batch key's ring owner.  Every
-        request must share one
-        :func:`~repro.serving.scheduler.batch_key` of this pool's backend
-        (:class:`~repro.errors.ParameterError` otherwise): one
-        ``(modulus, l)``, or one operand width for the lock-step lane
-        backends, whose batches may span several moduli.
+        Admission is per batch: one window slot per request, raising
+        :class:`~repro.errors.QueueFull` past the bound unless the window
+        is empty.  Transport is per shard: inside a
+        :meth:`dispatch_scope` the requests join, in submission order, the
+        open frame of their target, which the scope sends whole; outside
+        one the batch is sent at once as its own frame.  The frame goes to
+        ``shard`` (a :meth:`place` target) while that shard is alive,
+        else whole to the ring owner of its first request's batch key.  A
+        frame may mix batch keys: the worker cuts it by
+        :func:`~repro.serving.scheduler.batch_key` before it runs lanes.
 
-        Reserves one window slot per request (raising
-        :class:`~repro.errors.QueueFull` past the bound, unless the
-        window is empty) and returns one future per request, in request
-        order.  Each future resolves to the collector payload
-        ``(value, cycles, wall_us, worker, span)`` — ``span`` is the
-        request's worker span session when the parent has a tracer,
-        else ``None`` — or raises the reconstructed worker-side error.
-        ``contexts`` is accepted for parity with the inline pool and
-        ignored: the worker takes the constants from its own warm cache.
+        Returns one future per request, in request order.  Each resolves
+        to the collector payload ``(value, cycles, wall_us, worker,
+        span)`` — ``span`` is the request's worker span session when the
+        parent has a tracer, else ``None`` — or raises the reconstructed
+        worker-side error.  ``contexts`` is accepted for parity with the
+        inline pool and ignored: the worker takes the constants from its
+        own warm cache.
         """
         if self._closed:
             raise QueueFull("shard pool is shut down")
         if not requests:
             return []
-        key = batch_key(self._capabilities, requests[0])
-        for request in requests[1:]:
-            other = batch_key(self._capabilities, request)
-            if other != key:
-                raise ParameterError(
-                    f"a shard batch must share one batch key; got {other} and {key}"
-                )
         self._window.reserve(len(requests), elastic=True)
+        futures: List[Future] = [Future() for _ in requests]
+        frames = getattr(self._staging, "frames", None)
+        if frames is not None:
+            staged = frames.setdefault((shard, cheap_mode), ([], []))
+            staged[0].extend(requests)
+            staged[1].extend(futures)
+            return futures
         try:
-            return self._dispatch_batch(
-                list(requests), attempt=0, target=shard, cheap_mode=cheap_mode
+            self._send_frame(
+                list(requests), futures, target=shard, cheap_mode=cheap_mode
             )
         except BaseException:
             self._window.cancel_reservation(len(requests))
             raise
+        return futures
+
+    def _send_staged(self) -> None:
+        """Send each of this thread's open frames as one frame.
+
+        A frame that cannot be sent (the pool closed, or its shard stayed
+        dead past the grace period) fails its futures and frees their
+        slots, so the collector answers those requests.
+        """
+        frames = getattr(self._staging, "frames", None)
+        if not frames:
+            return
+        staged, self._staging.frames = frames, {}
+        for (target, cheap_mode), (requests, futures) in staged.items():
+            try:
+                if self._closed:
+                    raise QueueFull("shard pool is shut down")
+                self._send_frame(
+                    requests, futures, target=target, cheap_mode=cheap_mode
+                )
+            except Exception as exc:
+                for future in futures:
+                    try:
+                        future.set_exception(exc)
+                    except InvalidStateError:
+                        pass
+                    self._window.release(future)
 
     def submit_hedge(self, request: ModExpRequest) -> Optional[Future]:
         """Re-dispatch one straggler to an alive shard other than its primary's.
@@ -806,15 +868,14 @@ class ShardPool(WindowedPool):
             # attempt=1, same as a death-requeue: a deterministic chaos
             # fault keyed on (request, attempt) must not simply re-fire
             # on the hedge copy, or a stuck primary begets a stuck hedge.
-            futures = self._dispatch_batch(
-                [request], attempt=1, target=target, hedge=True
-            )
+            future: Future = Future()
+            self._send_frame([request], [future], attempt=1, target=target, hedge=True)
         except BaseException:
             self._window.cancel_reservation(1)
             return None
         if OBS.enabled:
             OBS.count("serving.hedges_dispatched", shard=str(target))
-        return futures[0]
+        return future
 
     def _holder(self, request: ModExpRequest) -> Optional[int]:
         """Index of the shard holding ``request``'s unanswered primary."""
@@ -826,18 +887,23 @@ class ShardPool(WindowedPool):
                             return shard.index
         return None
 
-    def _dispatch_batch(
+    def _send_frame(
         self,
         requests: List[ModExpRequest],
+        futures: List[Future],
         *,
-        attempt: int,
+        attempt: int = 0,
         target: Optional[int] = None,
         hedge: bool = False,
         cheap_mode: bool = False,
-    ) -> List[Future]:
+    ) -> None:
+        """Encode ``requests`` as one frame and send it.
+
+        ``futures[i]`` answers ``requests[i]``; the caller has reserved
+        their window slots.
+        """
         batch_id = next(self._batch_seq)
         wire_requests = self._uniquify_ids(requests, batch_id)
-        futures: List[Future] = [Future() for _ in wire_requests]
         pending = _PendingBatch(
             batch_id, wire_requests, futures, attempt, sources=requests
         )
@@ -850,7 +916,6 @@ class ShardPool(WindowedPool):
             cheap_mode=cheap_mode,
         )
         self._send(pending, frame, target=target, hedge=hedge)
-        return futures
 
     @staticmethod
     def _uniquify_ids(

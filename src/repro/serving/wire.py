@@ -7,11 +7,13 @@ speak.
 
 **Binary batch frames** (the sharded data plane, :mod:`repro.serving.shard`):
 the scheduler's coalesced batches cross the parent↔shard-worker pipe as
-*one* compact frame per batch instead of one pickled task per request.
+*one* compact frame per shard per dispatch — every batch one dispatch
+placed on that shard — instead of one pickled task per request.
 Big-int operands travel as raw big-endian bytes (an RSA-2048 modulus is
 256 bytes, not a 617-digit decimal string), and each distinct
-``(modulus, l)`` of the batch is encoded once per frame, in a key table
-the requests index, not once per request.
+``(modulus, l)`` of the frame is encoded once, in a key table the
+requests index, not once per request.  A frame may therefore mix batch
+keys.
 
 Frame grammar (all integers unsigned, network byte order)::
 
@@ -33,9 +35,8 @@ Frame grammar (all integers unsigned, network byte order)::
                 bflags bit 2: caller has a tracer — the worker records
                 one span session per request into the telemetry blob
     key      := bigint modulus | u32 l
-                one distinct (modulus, l) of the batch: a batch cut by
-                (modulus, l) has one entry, a batch of a lock-step lane
-                backend (cut by width) one per modulus
+                one distinct (modulus, l) of the frame: one entry per
+                modulus of the batches it carries
     request  := str16 id | u16 key | bigint base | bigint exponent | u8 flags
                 | [bigint p | bigint q]         when flags bit 0
                 | [f64 expires_at]              when flags bit 1
@@ -447,14 +448,14 @@ def encode_batch_frame(
     want_spans: bool = False,
     cheap_mode: bool = False,
 ) -> bytes:
-    """One coalesced batch as a binary frame payload.
+    """One frame's requests — the batches one dispatch placed on one
+    shard — as a binary frame payload.
 
-    Each distinct ``(modulus, l)`` of the batch is encoded once, in the
-    frame's key table; every request carries a ``u16`` index into it.
-    A batch cut by ``(modulus, l)`` therefore sends its modulus once, and
-    a lane batch cut by width (see
-    :func:`repro.serving.scheduler.batch_key`) sends each of its moduli
-    once.  ``want_telemetry`` sets batch-flag bit 0: when clear, the
+    Each distinct ``(modulus, l)`` of the frame is encoded once, in the
+    frame's key table; every request carries a ``u16`` index into it, so
+    each modulus is sent once per frame whatever batch key (see
+    :func:`repro.serving.scheduler.batch_key`) its batch had.
+    ``want_telemetry`` sets batch-flag bit 0: when clear, the
     worker skips metrics capture for the batch (observation hooks on the
     engine hot path are not free) and answers with an empty telemetry
     blob.  ``cheap_mode`` sets bit 1 — the brownout lever: the worker

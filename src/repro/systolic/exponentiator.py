@@ -40,7 +40,7 @@ operand checks therefore never fire inside a chain and cost one chained
 comparison.  The driver counts the products, and :func:`check_cycles` —
 the measured-versus-model cross-check, shared with the netlist serving
 backend — holds the count times the per-product cost to
-:func:`~repro.systolic.timing.exponentiation_cycles_measured_model`.
+:func:`~repro.systolic.timing.exponentiation_cycles_measured`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS
 from repro.systolic.mmmc import MMMC
 from repro.systolic.timing import (
-    exponentiation_cycles_measured_model,
+    exponentiation_cycles_measured,
     mmm_cycles,
     mmm_cycles_corrected,
 )
@@ -202,7 +202,7 @@ class ModularExponentiator:
 
         Returns the reduced result (in ``[0, N)``) and the measured cycle
         total, which equals
-        :func:`~repro.systolic.timing.exponentiation_cycles_measured_model`
+        :func:`~repro.systolic.timing.exponentiation_cycles_measured`
         for the same exponent.
         """
         ctx = self.ctx
@@ -239,8 +239,7 @@ class ModularExponentiator:
             OBS.count("exponentiator.exponentiations")
             OBS.record("exponentiator.exponentiation_cycles", run.cycles)
         check_cycles(
-            run.cycles,
-            exponentiation_cycles_measured_model(ctx.l, exponent, mode=self.mode).total,
+            run.cycles, exponentiation_cycles_measured(ctx.l, exponent, mode=self.mode)
         )
         return run
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.errors import ParameterError
 from repro.utils.bits import hamming_weight
 from repro.utils.validation import ensure_positive
 
@@ -39,6 +40,7 @@ __all__ = [
     "exponentiation_cycle_bounds",
     "average_exponentiation_cycles",
     "exponentiation_cycles_paper",
+    "exponentiation_cycles_measured",
     "exponentiation_cycles_measured_model",
     "ExponentiationCycleBreakdown",
 ]
@@ -138,6 +140,27 @@ def exponentiation_cycles_paper(l: int, exponent: int) -> ExponentiationCycleBre
     )
 
 
+def _mmm_in(mode: str, l: int) -> int:
+    """One MMMC run in ``mode``: ``3l+5`` corrected, ``3l+4`` paper."""
+    return mmm_cycles_corrected(l) if mode == "corrected" else mmm_cycles(l)
+
+
+def exponentiation_cycles_measured(
+    l: int, exponent: int, *, mode: str = "corrected"
+) -> int:
+    """Total of :func:`exponentiation_cycles_measured_model`, one formula.
+
+    ``bitlen(E) + weight(E)`` full MMMC runs (the pre-multiplication,
+    ``bitlen(E) - 1`` squarings, ``weight(E) - 1`` multiplications and
+    the post-multiplication), each ``3l+5`` cycles in the corrected mode
+    or ``3l+4`` in paper mode.  The exponentiators check every measured
+    total against it, so it builds no breakdown.
+    """
+    if exponent < 1:
+        raise ParameterError(f"exponent must be > 0, got {exponent}")
+    return (exponent.bit_length() + exponent.bit_count()) * _mmm_in(mode, l)
+
+
 def exponentiation_cycles_measured_model(
     l: int, exponent: int, *, mode: str = "corrected"
 ) -> ExponentiationCycleBreakdown:
@@ -146,10 +169,11 @@ def exponentiation_cycles_measured_model(
     Every operation — including the pre-multiplication by ``R² mod N`` and
     the post-multiplication by 1 — is a full MMMC run (``3l+5`` cycles in
     the default corrected mode, ``3l+4`` in paper mode).  The RTL
-    exponentiator's measured totals match this exactly (enforced by tests).
+    exponentiator's measured totals match this exactly (enforced by tests);
+    the breakdown's ``total`` equals :func:`exponentiation_cycles_measured`.
     """
     ensure_positive("exponent", exponent)
-    mmm = mmm_cycles_corrected(l) if mode == "corrected" else mmm_cycles(l)
+    mmm = _mmm_in(mode, l)
     squares = exponent.bit_length() - 1
     multiplies = hamming_weight(exponent) - 1
     return ExponentiationCycleBreakdown(

@@ -162,15 +162,15 @@ class TestShardPool:
             assert worker.startswith("shard")
             assert wall_us >= 0
 
-    def test_mixed_modulus_batch_rejected(self):
+    def test_two_modulus_batch_answers_both_requests(self):
+        # A frame may mix batch keys, so one submit_batch may too.
+        requests = [
+            ModExpRequest(2, 3, 97, request_id="a"),
+            ModExpRequest(2, 3, 101, request_id="b"),
+        ]
         with ShardPool(shards=1, backend="integer") as pool:
-            with pytest.raises(ParameterError, match="share one"):
-                pool.submit_batch(
-                    [
-                        ModExpRequest(2, 3, 97, request_id="a"),
-                        ModExpRequest(2, 3, 101, request_id="b"),
-                    ]
-                )
+            payloads = [f.result(timeout=60) for f in pool.submit_batch(requests)]
+        assert [p[0] for p in payloads] == [r.expected() for r in requests]
 
     def test_backpressure_rejects_past_window_but_admits_elastic(self):
         m = random_odd_modulus(64, random.Random("bp"))

@@ -6,6 +6,7 @@ from repro.errors import ParameterError
 from repro.systolic.timing import (
     average_exponentiation_cycles,
     exponentiation_cycle_bounds,
+    exponentiation_cycles_measured,
     exponentiation_cycles_measured_model,
     exponentiation_cycles_paper,
     mmm_cycles,
@@ -97,6 +98,22 @@ class TestConcreteExponent:
     def test_measured_model_paper_mode(self):
         b = exponentiation_cycles_measured_model(128, 3, mode="paper")
         assert b.pre == mmm_cycles(128)
+
+    @pytest.mark.parametrize("mode", ["corrected", "paper"])
+    @pytest.mark.parametrize("l", [2, 8, 129])
+    def test_measured_total_is_the_breakdown_total(self, mode, l):
+        for exponent in (1, 2, 3, 0b1011, 65537, (1 << 64) - 1, 0xBEEF << 40):
+            model = exponentiation_cycles_measured_model(l, exponent, mode=mode)
+            assert exponentiation_cycles_measured(l, exponent, mode=mode) == model.total
+        per_op = mmm_cycles_corrected(l) if mode == "corrected" else mmm_cycles(l)
+        assert exponentiation_cycles_measured(l, 65537, mode=mode) == 19 * per_op
+
+    def test_measured_total_rejects_what_the_model_rejects(self):
+        for bad_l, bad_e in ((8, 0), (8, -3), (0, 5)):
+            with pytest.raises(ParameterError):
+                exponentiation_cycles_measured(bad_l, bad_e)
+            with pytest.raises(ParameterError):
+                exponentiation_cycles_measured_model(bad_l, bad_e)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
