@@ -12,13 +12,15 @@ Two experiments against the sharded serving plane, both feeding the CI
    zero for the class), and hold goodput at ≥ 90% of measured capacity —
    load regulation, not collapse.
 
-2. **Hedged stragglers** — a seeded chaos plan wedges ~10% of requests
-   (stuck worker sleeps, the slow-but-alive failure mode) on a two-shard
-   pool.  The same workload runs hedging-off then hedging-on: after the
-   p99-derived delay the service re-issues the straggler to the other
-   shard (with the attempt index bumped, so the deterministic fault does
-   not re-fire) and the first result wins.  Hedging must cut the
-   straggler p99 at least in half on the same seed.
+2. **Stuck-worker recycling** — a seeded chaos plan wedges ~10% of
+   requests (stuck worker sleeps, the slow-but-alive failure mode) on a
+   two-shard pool.  The same workload runs with stuck detection off,
+   then on: the shard health machine's monitor sees a frame held past
+   ``stuck_timeout_s``, drains the shard, terminates the wedged worker at
+   once and requeues its request to a fresh worker (with the attempt
+   index bumped, so the deterministic fault does not re-fire).  On the
+   same seed, detection must cut the straggler p99 to a third or less
+   while leaving p50 where it was.
 
 Every completed value in both experiments is verified against ``pow()``;
 any mismatch is counted into ``serving.silent_corruptions`` (gated
@@ -175,16 +177,16 @@ WARMUP = 16
 
 
 def _straggler_requests():
-    """A seeded request set whose hedges race *clean* re-executions.
+    """A seeded request set whose requeues run *clean* re-executions.
 
     The fault plan is deterministic per ``(request_id, attempt)``, so the
     benchmark picks ids where attempt 0 is clean or stuck (the straggler
-    population) and attempt 1 — what a hedge or requeue would draw — is
-    always clean.  Warmup ids are fully clean.
+    population) and attempt 1 — what a requeue draws — is always clean.
+    Warmup ids are fully clean.
     """
     plan = FaultPlan(STUCK)
-    n = random_odd_modulus(768, random.Random("ovl-hedge"))
-    rng = random.Random("ovl-hedge-ops")
+    n = random_odd_modulus(768, random.Random("ovl-stuck"))
+    rng = random.Random("ovl-stuck-ops")
     warm, requests, stragglers, i = [], [], 0, 0
     while len(requests) < MEASURED:
         rid = f"hs{i}"
@@ -204,87 +206,96 @@ def _straggler_requests():
     return [make(r) for r in warm], [make(r) for r in requests], stragglers
 
 
-def _run_hedge_trial(warm, requests, *, hedge: bool) -> list:
-    # p90, not p99: the reservoir's first sample rides the worker spawn
-    # (~hundreds of ms) and a p99 delay would stay pinned to it for the
-    # whole run, firing every hedge far too late to rescue anything.
-    overload = OverloadConfig(
-        hedge=hedge,
-        hedge_quantile=90.0,
-        hedge_min_samples=8,
-        hedge_min_delay_s=0.02,
-    )
-    # Stuck sleeps would read as latency strikes and drain the shard
-    # mid-benchmark; health reactions are measured elsewhere.
-    health = HealthConfig(degrade_factor=1e9, stuck_timeout_s=60.0)
-    latencies = []
+# Detection off: a stuck sleep never reaches the timeout.  Detection on:
+# 50 ms is over 25 times a request's median round trip, so only a wedged
+# worker crosses it.  Stuck sleeps would also read as latency strikes and drain
+# the shard; the huge degrade factor keeps this a test of the stuck path.
+DETECTION_OFF = HealthConfig(degrade_factor=1e9, stuck_timeout_s=60.0)
+DETECTION_ON = HealthConfig(
+    degrade_factor=1e9, stuck_timeout_s=0.05, drain_timeout_s=0.0
+)
+
+
+def _run_straggler_trial(warm, requests, health: HealthConfig):
+    latencies, results = [], []
     with ModExpService(
         backend="integer",
         workers=2,
         worker_kind="shard",
         chaos=STUCK,
-        overload=overload,
         health=health,
     ) as service:
-        for request in warm:  # spawn workers, warm the hedge reservoir
+        for request in warm:  # spawn workers, warm their caches
             service.process([request])
+        restarts = service.pool.restarts
         for request in requests:
             t0 = time.perf_counter()
             (result,) = service.process([request])
             latencies.append(time.perf_counter() - t0)
             assert result.ok, result.error
-            assert result.value == pow(
-                request.base, request.exponent, request.modulus
-            )
-    return latencies
+            results.append(result)
+        restarts = service.pool.restarts - restarts
+    assert _verified_ok(requests, results) == len(requests)
+    return latencies, restarts
 
 
-def test_hedging_cuts_straggler_p99(save_table, benchmark_metrics):
+def test_stuck_workers_are_recycled_to_cut_straggler_p99(
+    save_table, benchmark_metrics
+):
     warm, requests, stragglers = _straggler_requests()
     assert stragglers >= 4, "chaos plan produced too few stragglers"
 
-    plain = _run_hedge_trial(warm, requests, hedge=False)
-    hedged = _run_hedge_trial(warm, requests, hedge=True)
+    plain, _ = _run_straggler_trial(warm, requests, DETECTION_OFF)
+    stuck_before = benchmark_metrics.counter("serving.stuck_shards").total()
+    recycled, restarts = _run_straggler_trial(warm, requests, DETECTION_ON)
 
-    plain_p99 = _percentile(plain, 0.99)
-    hedged_p99 = _percentile(hedged, 0.99)
-    fired = benchmark_metrics.counter("serving.hedges_fired").total()
-    wins = benchmark_metrics.counter("serving.hedge_wins").total(winner="hedge")
+    plain_p50, plain_p99 = _percentile(plain, 0.50), _percentile(plain, 0.99)
+    recycled_p50 = _percentile(recycled, 0.50)
+    recycled_p99 = _percentile(recycled, 0.99)
+    requeued = benchmark_metrics.counter("serving.requeued").total()
 
     save_table(
-        "overload_hedging",
+        "overload_stragglers",
         render_table(
-            ["run", "p50 ms", "p99 ms", "max ms"],
+            ["run", "p50 ms", "p99 ms", "max ms", "restarts"],
             [
                 [
                     label,
                     round(_percentile(s, 0.50) * 1e3, 1),
                     round(_percentile(s, 0.99) * 1e3, 1),
                     round(max(s) * 1e3, 1),
+                    worker_restarts,
                 ]
-                for label, s in (("hedging off", plain), ("hedging on", hedged))
+                for label, s, worker_restarts in (
+                    ("detection off", plain, "-"),
+                    ("detection on", recycled, restarts),
+                )
             ]
-            + [[
-                "p99 cut",
-                "-",
-                f"{plain_p99 / hedged_p99:.1f}x",
-                f"hedges fired={int(fired)} won={int(wins)}",
-            ]],
+            + [["p99 cut", "-", f"{plain_p99 / recycled_p99:.1f}x", "-", "-"]],
             title=(
-                f"Hedged stragglers: {MEASURED} requests, {stragglers} "
+                f"Stuck-worker recycling: {MEASURED} requests, {stragglers} "
                 f"stuck {STUCK.stuck_s * 1e3:.0f} ms sleeps (seed "
-                f"{STUCK.seed}), 2 shards, first result wins"
+                f"{STUCK.seed}), 2 shards, stuck_timeout_s="
+                f"{DETECTION_ON.stuck_timeout_s}, drain_timeout_s="
+                f"{DETECTION_ON.drain_timeout_s}"
             ),
         ),
     )
 
-    # The same seed with hedging off eats every stuck sleep; with
-    # hedging on the re-dispatch (attempt bumped, so the deterministic
-    # fault does not re-fire) rescues the tail.
+    # With detection off every stuck sleep reaches the client.  With it
+    # on, each wedged worker is recycled and its request requeued
+    # (attempt bumped, so the deterministic fault does not re-fire).
     assert plain_p99 >= STUCK.stuck_s * 0.9
-    assert fired >= stragglers
-    assert wins >= 1
-    assert hedged_p99 < plain_p99 / 2, (
-        f"hedging only cut p99 {plain_p99 * 1e3:.1f} ms -> "
-        f"{hedged_p99 * 1e3:.1f} ms"
+    assert stuck_before == 0
+    assert restarts >= stragglers
+    assert requeued >= stragglers
+    assert recycled_p99 <= plain_p99 / 3, (
+        f"stuck detection only cut p99 {plain_p99 * 1e3:.1f} ms -> "
+        f"{recycled_p99 * 1e3:.1f} ms"
+    )
+    # Both p50s sit under a millisecond, so timer noise needs the
+    # absolute slack.
+    assert recycled_p50 <= 1.2 * plain_p50 + 1e-3, (
+        f"stuck detection moved p50 {plain_p50 * 1e3:.2f} ms -> "
+        f"{recycled_p50 * 1e3:.2f} ms"
     )

@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="enable the graceful-degradation ladder (deadline "
             "admission, CoDel shedding of batch traffic; add --admit-rate"
-            "/--hedge/--brownout for the other rungs)",
+            "/--brownout for the other rungs)",
         )
         ovl.add_argument(
             "--admit-rate",
@@ -356,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="relative deadline for budget-less interactive requests",
-        )
-        ovl.add_argument(
-            "--hedge",
-            action="store_true",
-            help="re-issue stragglers past the observed p99 to the next "
-            "ring shard, first result wins (shard pools; implies --overload)",
         )
         ovl.add_argument(
             "--brownout",
@@ -1063,14 +1057,13 @@ def _make_service(args):
         else None
     )
     overload = None
-    if args.overload or args.admit_rate is not None or args.hedge or args.brownout:
+    if args.overload or args.admit_rate is not None or args.brownout:
         from repro.serving import OverloadConfig
 
         overload = OverloadConfig(
             admit_rate=args.admit_rate,
             interactive_reserve=args.interactive_reserve,
             shed_target_s=args.shed_target,
-            hedge=args.hedge,
             brownout=args.brownout,
             default_budget_s=args.default_budget,
             interactive_budget_s=args.interactive_budget,
@@ -1766,8 +1759,7 @@ def _top_summary(metrics) -> dict:
         "worker_busy_us": per_worker,
     }
     shed = metrics.get("serving_shed_requests_total")
-    hedges = _mx_total(metrics, "serving_hedges_fired_total")
-    if shed or hedges or metrics.get("serving_brownout_level"):
+    if shed or metrics.get("serving_brownout_level"):
         shed_by_reason: dict = {}
         if shed:
             for lb, v in shed["samples"]:
@@ -1775,13 +1767,6 @@ def _top_summary(metrics) -> dict:
                 shed_by_reason[reason] = shed_by_reason.get(reason, 0.0) + v
         summary["overload"] = {
             "shed_by_reason": shed_by_reason,
-            "hedges_fired": hedges,
-            "hedge_wins": {
-                winner: _mx_total(
-                    metrics, "serving_hedge_wins_total", winner=winner
-                )
-                for winner in ("primary", "hedge")
-            },
             "deadline_violations": _mx_total(
                 metrics, "serving_deadline_violations_total"
             ),
@@ -1869,14 +1854,10 @@ def _render_top_frame(url: str, text: str) -> str:
         )
     )
     shed = total("serving_shed_requests_total")
-    hedges = total("serving_hedges_fired_total")
-    if shed or hedges or metrics.get("serving_brownout_level"):
+    if shed or metrics.get("serving_brownout_level"):
         lines.append(
-            "overload   shed={:.0f} hedged={:.0f} (won={:.0f}) "
-            "late={:.0f} brownout=L{:.0f}".format(
+            "overload   shed={:.0f} late={:.0f} brownout=L{:.0f}".format(
                 shed,
-                hedges,
-                total("serving_hedge_wins_total", winner="hedge"),
                 total("serving_deadline_violations_total"),
                 total("serving_brownout_level"),
             )

@@ -17,15 +17,19 @@ metric object holds one time series per distinct label set.  The whole
 registry snapshots to a plain dict (and therefore JSON) so benchmarks can
 drop a machine-readable record next to their ``results/*.txt`` artifacts.
 
-CPython's GIL makes the bare ``+=`` updates atomic enough for the
-single-threaded simulators instrumented here; no locks are taken on the
-hot path.
+A read-modify-write such as ``+=`` is not atomic under the GIL: a
+thread switch between the read and the write loses the other thread's
+update.  The serving plane counts from its collector, reader and monitor
+threads at once, so :meth:`Counter.inc`, :meth:`Histogram.observe` and
+:meth:`Histogram.merge_snapshot_row` each take their metric's lock.
+:meth:`Gauge.set` is a single store and takes none.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
@@ -82,6 +86,7 @@ class _Metric:
         self.name = name
         self.help = help
         self._series: Dict[LabelKey, Any] = {}
+        self._lock = threading.Lock()  # guards read-modify-writes of a series
 
     def _labelled_rows(self) -> Iterable[Tuple[LabelKey, Any]]:
         return sorted(self._series.items())
@@ -96,7 +101,8 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
         key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
+        with self._lock:
+            self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: Any) -> int:
         return self._series.get(_label_key(labels), 0)
@@ -171,20 +177,21 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels: Any) -> None:
         key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.buckets))
-        series.count += 1
-        series.sum += value
-        if series.min is None or value < series.min:
-            series.min = value
-        if series.max is None or value > series.max:
-            series.max = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series.bucket_counts[i] += 1
-                return
-        series.bucket_counts[-1] += 1
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(len(self.buckets))
+            series.count += 1
+            series.sum += value
+            if series.min is None or value < series.min:
+                series.min = value
+            if series.max is None or value > series.max:
+                series.max = value
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    series.bucket_counts[i] += 1
+                    return
+            series.bucket_counts[-1] += 1
 
     def series(self, **labels: Any) -> Optional[_HistogramSeries]:
         return self._series.get(_label_key(labels))
@@ -266,33 +273,34 @@ class Histogram(_Metric):
         same bucket layout, which every registry in this codebase does).
         """
         key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.buckets))
-        series.count += row["count"]
-        series.sum += row["sum"]
-        for edge in ("min", "max"):
-            value = row.get(edge)
-            if value is None:
-                continue
-            current = getattr(series, edge)
-            if (
-                current is None
-                or (edge == "min" and value < current)
-                or (edge == "max" and value > current)
-            ):
-                setattr(series, edge, value)
-        for bound_str, count in row.get("buckets", {}).items():
-            if bound_str == "+Inf":
-                series.bucket_counts[-1] += count
-                continue
-            bound = float(bound_str)
-            for i, local in enumerate(self.buckets):
-                if bound <= local:
-                    series.bucket_counts[i] += count
-                    break
-            else:
-                series.bucket_counts[-1] += count
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(len(self.buckets))
+            series.count += row["count"]
+            series.sum += row["sum"]
+            for edge in ("min", "max"):
+                value = row.get(edge)
+                if value is None:
+                    continue
+                current = getattr(series, edge)
+                if (
+                    current is None
+                    or (edge == "min" and value < current)
+                    or (edge == "max" and value > current)
+                ):
+                    setattr(series, edge, value)
+            for bound_str, count in row.get("buckets", {}).items():
+                if bound_str == "+Inf":
+                    series.bucket_counts[-1] += count
+                    continue
+                bound = float(bound_str)
+                for i, local in enumerate(self.buckets):
+                    if bound <= local:
+                        series.bucket_counts[i] += count
+                        break
+                else:
+                    series.bucket_counts[-1] += count
 
     def snapshot(self) -> List[Dict[str, Any]]:
         rows = []

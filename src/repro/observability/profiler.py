@@ -155,13 +155,12 @@ def _counter_by_label(
 
 
 def attribute_overload(registry: MetricsRegistry) -> Dict[str, Any]:
-    """Overload-ladder attribution: shedding, hedging, deadlines, brownout.
+    """Overload-ladder attribution: shedding, deadlines, brownout.
 
     Everything the graceful-degradation layer emits, folded into one
     dict so ``repro top`` / ``repro profile`` can show at a glance *how*
-    the service degraded: what was shed and why, how many stragglers
-    were hedged (and which copy won), which deadlines were missed and
-    where in the lifecycle, and the current brownout level.
+    the service degraded: what was shed and why, which deadlines were
+    missed and where in the lifecycle, and the current brownout level.
     """
     gauges = {}
     for name, key in (
@@ -178,14 +177,6 @@ def attribute_overload(registry: MetricsRegistry) -> Dict[str, Any]:
         ),
         "shed_by_class": _counter_by_label(
             registry, "serving.shed_requests", "class"
-        ),
-        "hedges_fired": (
-            registry.counter("serving.hedges_fired").total()
-            if "serving.hedges_fired" in registry
-            else 0.0
-        ),
-        "hedge_wins": _counter_by_label(
-            registry, "serving.hedge_wins", "winner"
         ),
         "deadline_expired": _counter_by_label(
             registry, "serving.deadline_expired", "where"
@@ -384,7 +375,6 @@ def render_report(
     shed_total = sum(overload["shed_by_reason"].values())
     degraded = (
         shed_total
-        or overload["hedges_fired"]
         or overload["deadline_expired"]
         or overload["deadline_violations"]
         or overload.get("brownout_level")
@@ -403,13 +393,6 @@ def render_report(
             )
             lines.append(f"  shed {int(shed_total)}  by reason: {by_reason}")
             lines.append(f"  {'':<5}by class:  {by_class}")
-        if overload["hedges_fired"]:
-            wins = overload["hedge_wins"]
-            lines.append(
-                f"  hedges fired {int(overload['hedges_fired'])}  "
-                f"won by hedge {int(wins.get('hedge', 0))}  "
-                f"by primary {int(wins.get('primary', 0))}"
-            )
         if overload["deadline_expired"]:
             detail = "  ".join(
                 f"{where}={int(count)}"

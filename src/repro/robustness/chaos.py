@@ -319,8 +319,9 @@ class FaultPlan:
             OBS.count("chaos.injected", kind="latency")
             time.sleep(self.config.latency_s)
         if decision.kind == "stuck":
-            # Alive but wedged: long enough to trip stuck detection /
-            # hedging, short enough that a drill still terminates.
+            # Alive but wedged: long enough to trip stuck detection, which
+            # recycles the worker and requeues the request with its attempt
+            # bumped; short enough that a drill still terminates.
             OBS.count("chaos.injected", kind="stuck")
             time.sleep(self.config.stuck_s)
         if decision.kind == "slow_frame":

@@ -36,11 +36,13 @@ single-shot engines into a multi-worker modular-exponentiation service.
   ``repro loadgen``.
 * :mod:`repro.serving.overload` — the graceful-degradation ladder:
   :class:`OverloadConfig` plus the token-bucket admission gate, CoDel
-  shedder, hedged-request policy and brownout controller the service
-  threads through its lifecycle under load.
+  shedder and brownout controller the service threads through its
+  lifecycle under load.
 * :mod:`repro.serving.health` — per-shard
   ``healthy → degraded → draining → dead`` state machines replacing the
-  binary alive/dead view of the sharded data plane.
+  binary alive/dead view of the sharded data plane; the stuck detector
+  recycles a wedged worker and requeues its requests, the one straggler
+  path.
 
 Self-healing (PR 5) lives in :mod:`repro.robustness` and threads through
 :class:`ModExpService`: online result verification, seeded chaos fault
@@ -67,8 +69,6 @@ from repro.serving.http import TelemetryServer
 from repro.serving.overload import (
     BrownoutController,
     CoDelShedder,
-    HedgePolicy,
-    LatencyReservoir,
     OverloadConfig,
     TokenBucket,
 )
@@ -128,8 +128,6 @@ __all__ = [
     "OverloadConfig",
     "TokenBucket",
     "CoDelShedder",
-    "HedgePolicy",
-    "LatencyReservoir",
     "BrownoutController",
     "HEALTH_STATES",
     "HealthConfig",

@@ -1,7 +1,7 @@
-"""Graceful degradation under overload: admit, shed, hedge, brown out.
+"""Graceful degradation under overload: admit, shed, brown out.
 
 The shard plane (PR 9) gave the service throughput; this module defends
-it when offered load exceeds capacity or a shard turns slow-but-alive.
+it when offered load exceeds capacity.
 The ladder, cheapest lever first:
 
 1. **Admission control** — a :class:`TokenBucket` in front of the
@@ -20,11 +20,11 @@ The ladder, cheapest lever first:
    lane groups to cheaper capable backends, and finally suspend batch
    admission entirely — all before a single interactive request is
    refused.
-4. **Hedging** — a :class:`HedgePolicy` over a bounded latency
-   reservoir: when a dispatched request is still unresolved after the
-   observed p99, re-dispatch it to the next live shard on the ring and
-   take whichever answer lands first (exactly-once: the loser is
-   abandoned and its late result dropped).
+
+A slow-but-alive shard is not an overload lever: the multiplier's
+cycle count per product is fixed, so a request far past its modelled
+time means a wedged worker, and the shard health machine
+(:mod:`repro.serving.health`) recycles it and requeues its work.
 
 Everything here is policy — pure, clock-injectable, independently
 testable.  :class:`~repro.serving.service.ModExpService` wires the
@@ -38,7 +38,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.errors import ParameterError
 from repro.observability import OBS
@@ -48,8 +48,6 @@ __all__ = [
     "OverloadConfig",
     "TokenBucket",
     "CoDelShedder",
-    "LatencyReservoir",
-    "HedgePolicy",
     "BrownoutController",
 ]
 
@@ -61,8 +59,8 @@ class OverloadConfig:
     ``admit_rate`` (requests/second) turns on the token bucket;
     ``shed_target_s`` / ``shed_interval_s`` tune the CoDel shedder
     (always on once an ``OverloadConfig`` is given — shedding only ever
-    drops batch-class traffic); ``hedge=True`` arms hedged re-dispatch
-    on shard pools; ``brownout=True`` arms the pressure controller.
+    drops batch-class traffic); ``brownout=True`` arms the pressure
+    controller.
     ``default_budget_s`` stamps a deadline on requests that arrive
     without one (per priority class via ``interactive_budget_s``).
     """
@@ -72,10 +70,6 @@ class OverloadConfig:
     interactive_reserve: float = 0.25
     shed_target_s: float = 0.05
     shed_interval_s: float = 0.5
-    hedge: bool = False
-    hedge_quantile: float = 99.0
-    hedge_min_samples: int = 16
-    hedge_min_delay_s: float = 0.005
     brownout: bool = False
     brownout_high: float = 0.75
     brownout_low: float = 0.25
@@ -96,18 +90,6 @@ class OverloadConfig:
             raise ParameterError(
                 "shed_target_s and shed_interval_s must be > 0, got "
                 f"{self.shed_target_s}/{self.shed_interval_s}"
-            )
-        if not 0.0 < self.hedge_quantile <= 100.0:
-            raise ParameterError(
-                f"hedge_quantile must be in (0, 100], got {self.hedge_quantile}"
-            )
-        if self.hedge_min_samples < 2:
-            raise ParameterError(
-                f"hedge_min_samples must be >= 2, got {self.hedge_min_samples}"
-            )
-        if self.hedge_min_delay_s < 0:
-            raise ParameterError(
-                f"hedge_min_delay_s must be >= 0, got {self.hedge_min_delay_s}"
             )
         if not 0.0 <= self.brownout_low < self.brownout_high <= 1.0:
             raise ParameterError(
@@ -246,84 +228,6 @@ class CoDelShedder:
                 self._drop_next = now + self.interval_s / math.sqrt(self._count)
                 return True
             return False
-
-
-class LatencyReservoir:
-    """Bounded ring of recent latency samples with percentile readout."""
-
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 2:
-            raise ParameterError(f"capacity must be >= 2, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._samples: List[float] = []
-        self._pos = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def record(self, latency_s: float) -> None:
-        with self._lock:
-            if len(self._samples) < self.capacity:
-                self._samples.append(latency_s)
-            else:
-                self._samples[self._pos] = latency_s
-                self._pos = (self._pos + 1) % self.capacity
-
-    def percentile(self, q: float) -> Optional[float]:
-        """The ``q``-th percentile (nearest-rank), ``None`` when empty."""
-        with self._lock:
-            if not self._samples:
-                return None
-            ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
-        return ordered[rank]
-
-
-class HedgePolicy:
-    """When to re-dispatch a straggler: after the observed tail latency.
-
-    The delay is the reservoir's ``quantile`` (p99 by default).  When
-    request latencies are independent, only ~1% of requests outlast it,
-    so the added load is marginal while the straggler tail collapses to
-    roughly the p99 of two independent draws.  Latencies on one shard
-    are not independent: a stuck batch delays every request queued
-    behind it, so all of them cross the delay together.
-    ``benchmarks/bench_overload.py -k hedging`` measures 83–97 hedges in
-    its 120 requests.  Until ``min_samples`` completions have been
-    observed the policy abstains (``delay() is None``): hedging on a
-    cold estimate would fire on everything.
-    """
-
-    def __init__(
-        self,
-        *,
-        quantile: float = 99.0,
-        min_samples: int = 16,
-        min_delay_s: float = 0.005,
-        capacity: int = 512,
-    ) -> None:
-        if min_samples < 2:
-            raise ParameterError(f"min_samples must be >= 2, got {min_samples}")
-        if min_delay_s < 0:
-            raise ParameterError(f"min_delay_s must be >= 0, got {min_delay_s}")
-        self.quantile = quantile
-        self.min_samples = min_samples
-        self.min_delay_s = min_delay_s
-        self.reservoir = LatencyReservoir(capacity)
-
-    def observe(self, latency_s: float) -> None:
-        self.reservoir.record(latency_s)
-
-    def delay(self) -> Optional[float]:
-        """Seconds to wait before hedging, or ``None`` (not yet armed)."""
-        if len(self.reservoir) < self.min_samples:
-            return None
-        tail = self.reservoir.percentile(self.quantile)
-        if tail is None:
-            return None
-        return max(tail, self.min_delay_s)
 
 
 #: Brownout levels, mildest first.  Each level keeps every lever of the

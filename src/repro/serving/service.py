@@ -61,9 +61,8 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures import wait as futures_wait
 from dataclasses import replace
 from typing import Any, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
 
@@ -91,7 +90,6 @@ from repro.serving.health import HealthConfig
 from repro.serving.overload import (
     BrownoutController,
     CoDelShedder,
-    HedgePolicy,
     OverloadConfig,
     TokenBucket,
 )
@@ -203,15 +201,15 @@ class ModExpService:
           slice only interactive traffic may draw from;
         * **shedding** — a CoDel controller sheds *batch*-class
           requests whose queue sojourn stays over target;
-        * **hedging** — stragglers past the observed p99 are re-issued
-          to the next ring shard, first result wins (shard pools only);
         * **brownout** — sustained pressure steps down verification
           sampling, reroutes to cheaper backends, then suspends batch
           admission entirely, in that order.
     health:
         :class:`~repro.serving.health.HealthConfig` for the shard
         pool's per-shard health state machines (shard pools only;
-        ``None`` = pool defaults).
+        ``None`` = pool defaults).  Their stuck detector is the one
+        straggler path: a worker that holds a frame past
+        ``stuck_timeout_s`` is recycled and its requests requeued.
     """
 
     def __init__(
@@ -290,7 +288,6 @@ class ModExpService:
         self._admission: Optional[TokenBucket] = None
         self._shedder: Optional[CoDelShedder] = None
         self._brownout: Optional[BrownoutController] = None
-        self._hedge: Optional[HedgePolicy] = None
         if overload is not None:
             if overload.admit_rate is not None:
                 self._admission = TokenBucket(
@@ -306,12 +303,6 @@ class ModExpService:
                     high=overload.brownout_high,
                     low=overload.brownout_low,
                     dwell_s=overload.brownout_dwell_s,
-                )
-            if overload.hedge:
-                self._hedge = HedgePolicy(
-                    quantile=overload.hedge_quantile,
-                    min_samples=overload.hedge_min_samples,
-                    min_delay_s=overload.hedge_min_delay_s,
                 )
         self._batch_counter = 0
         self._id_seq = 0
@@ -562,12 +553,7 @@ class ModExpService:
             budget = max(0.0, budget)
             remaining = budget if remaining is None else min(remaining, budget)
         try:
-            if self._hedge is not None and self.pool.kind == "shard":
-                payload = self._hedged_result(entry, remaining)
-            else:
-                payload = future.result(timeout=remaining)
-            if self._hedge is not None:
-                self._hedge.observe(time.monotonic() - entry.submitted_at)
+            payload = future.result(timeout=remaining)
             if OBS.enabled:
                 # Time from submission to harvest minus the execution wall
                 # time = time the request sat in the pool's queue (plus
@@ -590,66 +576,6 @@ class ModExpService:
             return "timeout", TimeoutError(f"request exceeded {timeout}s")
         except BaseException as exc:
             return "error", exc
-
-    def _hedged_result(self, entry: _Entry, remaining: Optional[float]) -> Any:
-        """First-result-wins between the primary dispatch and one hedge.
-
-        After the hedge policy's p99-derived delay (``None`` until the
-        latency reservoir warms up), the straggling request is re-issued
-        to an alive shard other than the one holding the primary (which
-        placement may have moved off its ring owner): the first such
-        shard clockwise from the key, so a hedge of a request still at
-        home warms the caches a real failover would use.  Whichever copy
-        answers first wins; the loser is abandoned, so exactly one
-        result is ever consumed.  Raises
-        :class:`FuturesTimeout` or the winner's exception exactly like
-        ``Future.result`` so the caller's handling is unchanged.
-        """
-        primary = entry.future
-        assert primary is not None and self._hedge is not None
-        give_up = None if remaining is None else time.monotonic() + remaining
-        delay = self._hedge.delay()
-        if delay is None:  # reservoir still warming up: no hedging yet
-            return primary.result(timeout=remaining)
-        first_wait = (
-            delay
-            if give_up is None
-            else min(delay, max(give_up - time.monotonic(), 0.0))
-        )
-        try:
-            return primary.result(timeout=first_wait)
-        except FuturesTimeout:
-            pass
-        hedge = self.pool.submit_hedge(entry.request)
-        if hedge is None:  # no distinct live shard, or the window is full
-            rest = None if give_up is None else max(give_up - time.monotonic(), 0.0)
-            return primary.result(timeout=rest)
-        if OBS.enabled:
-            OBS.count("serving.hedges_fired")
-        pending = {primary, hedge}
-        while pending:
-            rest = None if give_up is None else max(give_up - time.monotonic(), 0.0)
-            done, pending = futures_wait(
-                pending, timeout=rest, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Overall timeout: the caller abandons the primary; the
-                # hedge is ours to clean up.
-                self.pool.abandon(hedge)
-                raise FuturesTimeout()
-            for settled in done:
-                if settled.exception() is None:
-                    loser = hedge if settled is primary else primary
-                    if not loser.done():
-                        self.pool.abandon(loser)
-                    if OBS.enabled:
-                        OBS.count(
-                            "serving.hedge_wins",
-                            winner="primary" if settled is primary else "hedge",
-                        )
-                    return settled.result()
-        # Both copies settled exceptionally: surface the primary's error.
-        return primary.result()
 
     def _rid(self, entry: _Entry) -> str:
         return entry.request.request_id or f"idx{entry.input_index}"

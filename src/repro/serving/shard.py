@@ -259,21 +259,6 @@ class ShardMap:
                 return shard
         raise ShardFailure("every shard in the map is marked dead")
 
-    def next_owner(self, key: int, avoid: int) -> Optional[int]:
-        """First alive shard clockwise from ``key`` other than ``avoid``.
-
-        The hedging target: when the key's owner is slow, the re-dispatch
-        goes to the shard that would inherit the key were the owner dead —
-        so a hedged request warms exactly the caches a real failover
-        would use.  ``None`` when no distinct alive shard exists.
-        """
-        start = bisect.bisect_right(self._points, key) % len(self._ring)
-        for offset in range(len(self._ring)):
-            shard = self._ring[(start + offset) % len(self._ring)][1]
-            if shard != avoid and self._alive[shard]:
-                return shard
-        return None
-
 
 # ----------------------------------------------------------------------
 # Worker side
@@ -429,7 +414,6 @@ class _PendingBatch:
 
     __slots__ = (
         "batch_id",
-        "sources",
         "requests",
         "futures",
         "by_id",
@@ -444,11 +428,8 @@ class _PendingBatch:
         requests: List[ModExpRequest],
         futures: List[Future],
         attempt: int,
-        sources: Optional[List[ModExpRequest]] = None,
     ) -> None:
         self.batch_id = batch_id
-        # The caller's request objects, before any wire id rewrite.
-        self.sources = requests if sources is None else sources
         self.requests = requests
         self.futures = futures
         self.by_id = {r.request_id: f for r, f in zip(requests, futures)}
@@ -643,13 +624,15 @@ class ShardPool(WindowedPool):
     def _drain(self, index: int) -> None:
         """Graceful drain: finish in-flight work, then recycle the worker.
 
-        The pipe is FIFO and the worker answers strictly in order, so a
-        shutdown pill sent after the last admitted batch lets a *slow*
-        worker finish everything before exiting; a *wedged* worker never
-        reads the pill and is terminated when the grace period lapses.
-        Either way the reader thread's death handler respawns the shard,
-        returns its ring ranges, and requeues whatever did not finish —
-        the same exactly-once path a crash takes.
+        The shard is off the ring, so nothing new arrives; in-flight work
+        gets ``drain_timeout_s`` to finish.  A worker that answered
+        everything in time gets the shutdown pill and exits cleanly.  A
+        worker that still holds work when the grace period lapses is
+        *wedged* — the multiplier's cycle count per product is fixed, so
+        a slow answer is never an unlucky operand — and is terminated at
+        once.  Either way the reader thread's death handler respawns the
+        shard, returns its ring ranges, and requeues whatever did not
+        finish — the same exactly-once path a crash takes.
         """
         shard = self._shards[index]
         give_up = time.monotonic() + self.health_config.drain_timeout_s
@@ -663,12 +646,13 @@ class ShardPool(WindowedPool):
             return
         if OBS.enabled:
             OBS.count("serving.shard_drains", shard=str(index))
-        try:
-            with shard.send_lock:
-                shard.conn.send_bytes(b"")  # pill: exit after current work
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-        shard.process.join(timeout=max(self.health_config.drain_timeout_s, 0.1))
+        if shard.depth() == 0:
+            try:
+                with shard.send_lock:
+                    shard.conn.send_bytes(b"")  # pill: exit after current work
+            except (OSError, ValueError, BrokenPipeError):
+                pass
+            shard.process.join(timeout=max(self.health_config.drain_timeout_s, 0.1))
         if shard.process.is_alive():
             shard.process.terminate()
         # EOF now reaches the reader, whose death handler does the rest.
@@ -835,87 +819,30 @@ class ShardPool(WindowedPool):
                         pass
                     self._window.release(future)
 
-    def submit_hedge(self, request: ModExpRequest) -> Optional[Future]:
-        """Re-dispatch one straggler to an alive shard other than its primary's.
-
-        The primary's shard is the one whose in-flight batches hold the
-        request — placement may have moved it off the ring owner — and
-        the hedge goes to the first alive shard clockwise from the key
-        other than that one.  Hedging is strictly best-effort: no
-        distinct alive shard, a target that is down, a full window, or a
-        shutdown all return ``None`` at once rather than raising — the
-        primary dispatch is still in flight and remains the source of
-        truth.  The caller owns first-result-wins arbitration and must
-        :meth:`abandon` the loser.
-        """
-        if self._closed:
-            return None
-        key = batch_placement_key(batch_key(self._capabilities, request))
-        holder = self._holder(request)
-        if holder is None:  # answered, or mid-requeue: avoid the owner
-            try:
-                holder = self.map.owner(key)
-            except ShardFailure:
-                return None
-        target = self.map.next_owner(key, avoid=holder)
-        if target is None:
-            return None
-        try:
-            self._window.reserve(1)
-        except QueueFull:
-            return None  # never let a hedge steal admission capacity
-        try:
-            # attempt=1, same as a death-requeue: a deterministic chaos
-            # fault keyed on (request, attempt) must not simply re-fire
-            # on the hedge copy, or a stuck primary begets a stuck hedge.
-            future: Future = Future()
-            self._send_frame([request], [future], attempt=1, target=target, hedge=True)
-        except BaseException:
-            self._window.cancel_reservation(1)
-            return None
-        if OBS.enabled:
-            OBS.count("serving.hedges_dispatched", shard=str(target))
-        return future
-
-    def _holder(self, request: ModExpRequest) -> Optional[int]:
-        """Index of the shard holding ``request``'s unanswered primary."""
-        for shard in list(self._shards):
-            with shard.lock:
-                for pending in shard.pending.values():
-                    for source, future in zip(pending.sources, pending.futures):
-                        if source is request and not future.done():
-                            return shard.index
-        return None
-
     def _send_frame(
         self,
         requests: List[ModExpRequest],
         futures: List[Future],
         *,
-        attempt: int = 0,
         target: Optional[int] = None,
-        hedge: bool = False,
         cheap_mode: bool = False,
     ) -> None:
-        """Encode ``requests`` as one frame and send it.
+        """Encode ``requests`` as one first-attempt frame and send it.
 
         ``futures[i]`` answers ``requests[i]``; the caller has reserved
         their window slots.
         """
         batch_id = next(self._batch_seq)
         wire_requests = self._uniquify_ids(requests, batch_id)
-        pending = _PendingBatch(
-            batch_id, wire_requests, futures, attempt, sources=requests
-        )
+        pending = _PendingBatch(batch_id, wire_requests, futures, 0)
         frame = encode_batch_frame(
             batch_id,
             wire_requests,
-            attempt=attempt,
             want_telemetry=OBS.enabled,
             want_spans=OBS.tracer is not None,
             cheap_mode=cheap_mode,
         )
-        self._send(pending, frame, target=target, hedge=hedge)
+        self._send(pending, frame, target=target)
 
     @staticmethod
     def _uniquify_ids(
@@ -947,7 +874,6 @@ class ShardPool(WindowedPool):
         frame: bytes,
         *,
         target: Optional[int] = None,
-        hedge: bool = False,
     ) -> None:
         """Register ``pending`` with its shard and send.
 
@@ -955,9 +881,8 @@ class ShardPool(WindowedPool):
         mid-send, the reader's death handler finds the batch in
         ``pending`` and requeues it.  ``target`` pins the batch to an
         explicit shard instead of the ring owner.  A target that is down
-        (dead, or off the ring while draining) is never waited for: a
-        placed batch falls back to the ring owner, and a hedge raises
-        :class:`ShardFailure` at once.  A ring owner flagged dead
+        (dead, or off the ring while draining) is never waited for: the
+        batch falls back to the ring owner.  A ring owner flagged dead
         (respawn in progress) is retried against the ring until an alive
         owner accepts the batch.  The batch key's ring position is
         hashed only when the ring is asked: a placed batch's target
@@ -985,8 +910,6 @@ class ShardPool(WindowedPool):
             shard = self._shards[owner]
             with shard.lock:
                 if target is not None and (shard.dead or not self.map.alive[target]):
-                    if hedge:
-                        raise ShardFailure(f"hedge target shard {target} is down")
                     target = None
                     continue
                 if shard.dead:

@@ -1,6 +1,8 @@
 """Unit tests for the metrics registry."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -348,3 +350,43 @@ class TestParsePrometheusText:
         parsed = parse_prometheus_text(reg.to_prometheus())
         for name in ("lat_bucket", "lat_sum", "lat_count"):
             assert parsed[name]["type"] == "histogram"
+
+
+class TestConcurrentUpdates:
+    """Serving threads count into one registry at once; no update is lost."""
+
+    THREADS = 4
+    PER_THREAD = 10_000
+
+    def _hammer(self, update):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [update(i) for i in range(self.PER_THREAD)]
+                )
+                for _ in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_counter_inc_is_exact(self):
+        c = Counter("serving.requeued")
+        self._hammer(lambda i: c.inc(shard="0"))
+        assert c.value(shard="0") == self.THREADS * self.PER_THREAD
+
+    def test_histogram_observe_is_exact(self):
+        # A fresh label set per step: every step races the other threads
+        # to create its series as well as to update it.
+        h = Histogram("serving.queue_wait_us")
+        self._hammer(lambda i: h.observe(3.0, step=i))
+        series = h.aggregate()
+        total = self.THREADS * self.PER_THREAD
+        assert series.count == total
+        assert series.sum == 3.0 * total
+        assert sum(series.bucket_counts) == total

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FuturesTimeout
 
 import pytest
 
@@ -15,8 +13,6 @@ from repro.serving.overload import (
     BROWNOUT_LEVELS,
     BrownoutController,
     CoDelShedder,
-    HedgePolicy,
-    LatencyReservoir,
     OverloadConfig,
     TokenBucket,
 )
@@ -61,7 +57,6 @@ class TestOverloadConfig:
             dict(admit_rate=0.0),
             dict(interactive_reserve=1.0),
             dict(shed_target_s=0.0),
-            dict(hedge_min_samples=1),
             dict(brownout_low=0.8, brownout_high=0.5),
             dict(default_budget_s=0.0),
         ],
@@ -144,35 +139,6 @@ class TestCoDelShedder:
         assert shed.offer(0.1)
         assert not shed.offer(0.01)  # queue drained
         assert not shed.dropping
-
-
-class TestHedgePolicy:
-    def test_abstains_until_warm(self):
-        policy = HedgePolicy(min_samples=4, min_delay_s=0.0)
-        assert policy.delay() is None
-        for _ in range(3):
-            policy.observe(0.01)
-        assert policy.delay() is None
-        policy.observe(0.01)
-        assert policy.delay() == pytest.approx(0.01)
-
-    def test_delay_is_the_tail_with_a_floor(self):
-        policy = HedgePolicy(
-            quantile=50.0, min_samples=2, min_delay_s=0.02
-        )
-        policy.observe(0.001)
-        policy.observe(0.001)
-        assert policy.delay() == 0.02  # floored
-        for _ in range(10):
-            policy.observe(0.5)
-        assert policy.delay() == 0.5
-
-    def test_reservoir_is_bounded(self):
-        res = LatencyReservoir(capacity=4)
-        for v in (1.0, 2.0, 3.0, 4.0, 100.0):
-            res.record(v)
-        assert len(res) == 4
-        assert res.percentile(100) == 100.0
 
 
 class TestBrownoutController:
@@ -354,86 +320,3 @@ class TestServiceShedding:
         assert stats["ok"] == 1
         assert stats["rejected"] == 3
         assert stats["failed"] == 0
-
-
-class _StubShardPool:
-    """Just enough pool for exercising _hedged_result in isolation."""
-
-    kind = "shard"
-
-    def __init__(self, hedge_future):
-        self.hedge_future = hedge_future
-        self.abandoned = []
-
-    def submit_hedge(self, request):
-        return self.hedge_future
-
-    def abandon(self, future):
-        self.abandoned.append(future)
-        return True
-
-    def shutdown(self, **kw):
-        pass
-
-
-class TestHedgedResult:
-    def _service_with_stub(self, hedge_future):
-        service = ModExpService(
-            worker_kind="inline",
-            overload=OverloadConfig(hedge=True, hedge_min_samples=2),
-        )
-        service.close()
-        service.pool = _StubShardPool(hedge_future)
-        # Warm the reservoir so hedging is armed with a tiny delay.
-        service._hedge = HedgePolicy(min_samples=2, min_delay_s=0.0)
-        service._hedge.observe(0.001)
-        service._hedge.observe(0.001)
-        return service
-
-    def _entry(self, future):
-        from repro.serving.service import _Entry
-
-        entry = _Entry(_requests(1)[0], 0)
-        entry.future = future
-        entry.submitted_at = time.monotonic()
-        return entry
-
-    def test_hedge_wins_when_the_primary_straggles(self):
-        primary = Future()  # never resolves: a wedged shard
-        hedge = Future()
-        hedge.set_result((42, 7, 10.0, "shard1", None))
-        registry = MetricsRegistry()
-        with observe(metrics=registry):
-            service = self._service_with_stub(hedge)
-            payload = service._hedged_result(self._entry(primary), 5.0)
-        assert payload[0] == 42
-        assert primary in service.pool.abandoned  # exactly-once: loser dropped
-        assert registry.counter("serving.hedges_fired").total() == 1
-        assert registry.counter("serving.hedge_wins").total(winner="hedge") == 1
-
-    def test_primary_wins_without_hedging(self):
-        primary = Future()
-        primary.set_result((7, 1, 1.0, "shard0", None))
-        registry = MetricsRegistry()
-        with observe(metrics=registry):
-            service = self._service_with_stub(Future())
-            payload = service._hedged_result(self._entry(primary), 5.0)
-        assert payload[0] == 7
-        assert "serving.hedges_fired" not in registry
-        assert not service.pool.abandoned
-
-    def test_both_stuck_times_out_and_cleans_up(self):
-        primary = Future()
-        hedge = Future()
-        service = self._service_with_stub(hedge)
-        with pytest.raises(FuturesTimeout):
-            service._hedged_result(self._entry(primary), 0.05)
-        # The helper cleans up its own hedge; the caller owns the primary.
-        assert hedge in service.pool.abandoned
-
-    def test_no_distinct_shard_falls_back_to_plain_wait(self):
-        primary = Future()
-        service = self._service_with_stub(None)  # submit_hedge -> None
-        with pytest.raises(FuturesTimeout):
-            service._hedged_result(self._entry(primary), 0.05)
-        assert not service.pool.abandoned

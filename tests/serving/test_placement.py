@@ -11,10 +11,8 @@ shard while a move strictly narrows the gap.  The properties pinned here:
 * the result is deterministic.
 
 The pool-level tests cover what placement changes around it: one
-dispatch hashes each batch key's ring position once, a placed or hedged
-batch whose target is down returns at once, and a hedge never lands on
-the shard that holds its primary, even when placement moved the primary
-off its ring owner.
+dispatch hashes each batch key's ring position once, and a placed batch
+whose target is down falls back to the ring owner at once.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability import MetricsRegistry, observe
-from repro.robustness import ChaosConfig
 from repro.serving import ModExpRequest, ModExpService, WorkloadConfig, generate_workload
 from repro.serving import shard as shard_module
 from repro.serving.backends import default_registry
@@ -275,9 +272,6 @@ class TestDownTargets:
             payloads = [f.result(timeout=5) for f in placed]
             assert time.monotonic() - started < 1.0
             assert {p[3] for p in payloads} == {"shard0"}  # the ring owner
-            started = time.monotonic()
-            assert pool.submit_hedge(_batch(n, 1, "h")[0]) is None
-            assert time.monotonic() - started < 1.0
             pool._shards[1].dead = False
 
     def test_target_off_the_ring_falls_back_to_the_owner(self):
@@ -287,23 +281,3 @@ class TestDownTargets:
             (future,) = pool.submit_batch(_batch(n, 1, "d"), shard=1)
             assert future.result(timeout=5)[3] == "shard0"
             pool.map.mark_alive(1)
-
-
-class TestHedgeAvoidsThePrimary:
-    def test_hedge_skips_the_shard_holding_a_moved_primary(self):
-        rng = random.Random("hedge-moved")
-        n = random_odd_modulus(64, rng)
-        key = placement_key(n, 0)
-        shard_map = ShardMap(3)
-        owner = shard_map.owner(key)
-        # The shard the ring would hedge to; placement puts the primary
-        # there, so hedging by the ring alone would double up on it.
-        moved_to = shard_map.next_owner(key, avoid=owner)
-        (request,) = _batch(n, 1, "m")
-        slow = ChaosConfig(seed=1, latency_rate=1.0, latency_s=0.3)
-        with ShardPool(shards=3, backend="integer", chaos=slow) as pool:
-            (primary,) = pool.submit_batch([request], shard=moved_to)
-            hedge = pool.submit_hedge(request)
-            assert hedge is not None
-            assert primary.result(timeout=10)[3] == f"shard{moved_to}"
-            assert hedge.result(timeout=10)[3] == f"shard{owner}"

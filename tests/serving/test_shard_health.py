@@ -12,6 +12,10 @@ The graded-failure invariants under test:
 * **The parent** treats one corrupt frame (either direction) as shard
   degradation: the worker process survives, the batch is requeued
   exactly once, and a second loss fails over to the retry ladder.
+* **A wedged worker** is the one straggler path: the stuck monitor
+  drains its shard, the drain terminates it as soon as the grace period
+  lapses with work still held, and its request is requeued once to a
+  fresh worker, with the attempt bumped so the fault does not re-fire.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pytest
 from repro.errors import ShardFailure, WireFormatError
 from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
+from repro.robustness.chaos import FaultPlan
 from repro.serving import ModExpRequest, ModExpService
 from repro.serving.health import HealthConfig, ShardHealth
 from repro.serving.shard import ShardPool, _PendingBatch
@@ -272,3 +277,64 @@ class TestServiceEndToEnd:
         assert registry.counter("serving.corrupt_frames").total() == 2
         assert registry.counter("serving.requeued").total() == len(requests)
         assert "serving.silent_corruptions" not in registry
+
+
+class TestStuckWorkerRecovery:
+    """A wedged worker is recycled and its request requeued, end to end.
+
+    The stuck timeout also runs against the respawned worker's first
+    frame, start-up included.  Forked from a parent with a large heap
+    (the whole test session), that start-up can exceed 50 ms, which
+    would judge the requeue stuck too; half a second keeps it clear.
+    """
+
+    STUCK = ChaosConfig(seed=5, stuck_rate=0.5, stuck_s=5.0)
+    STUCK_TIMEOUT_S = 0.5
+
+    def _wedged_request(self):
+        # The fault plan is a pure function of (request id, attempt): pick
+        # an id whose first attempt is stuck and whose requeue is clean.
+        plan = FaultPlan(self.STUCK)
+        rid = next(
+            f"wedge{i}"
+            for i in range(1000)
+            if plan.decide(f"wedge{i}", 0).kind == "stuck"
+            and not plan.decide(f"wedge{i}", 1)
+        )
+        n = random_odd_modulus(64, random.Random("wedge"))
+        return ModExpRequest(3, 65537, n, request_id=rid)
+
+    def _run(self, health):
+        request = self._wedged_request()
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            with ShardPool(
+                shards=2, backend="integer", chaos=self.STUCK, health=health
+            ) as pool:
+                started = time.monotonic()
+                (future,) = pool.submit_batch([request])
+                payload = future.result(timeout=30)
+                elapsed = time.monotonic() - started
+                restarts, depth = pool.restarts, pool.depth
+        assert payload[0] == pow(request.base, request.exponent, request.modulus)
+        return elapsed, registry, restarts, depth
+
+    def test_wedged_request_is_answered_by_a_recycled_worker(self):
+        health = HealthConfig(stuck_timeout_s=self.STUCK_TIMEOUT_S, drain_timeout_s=0.0)
+        elapsed, registry, restarts, depth = self._run(health)
+        assert elapsed < self.STUCK.stuck_s / 2
+        assert registry.counter("serving.stuck_shards").total() == 1
+        assert registry.counter("serving.shard_drains").total() == 1
+        assert registry.counter("serving.requeued").total() == 1
+        assert restarts == 1
+        assert depth == 0  # the window holds nothing afterwards
+
+    def test_drain_terminates_a_worker_still_holding_work(self):
+        # A wedged worker never reads the shutdown pill, so waiting for it
+        # to exit after the grace period only adds a join timeout.
+        health = HealthConfig(
+            stuck_timeout_s=self.STUCK_TIMEOUT_S, drain_timeout_s=1.0
+        )
+        elapsed, _, restarts, _ = self._run(health)
+        assert elapsed < health.stuck_timeout_s + 1.6
+        assert restarts == 1
