@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.errors import ParameterError
+from repro.observability.observer import OBS
 from repro.utils.validation import ensure_odd, ensure_positive
 
 __all__ = [
@@ -179,15 +180,14 @@ def precompute_montgomery_constants(
     ``montgomery.precompute`` counter when observation is enabled; hits
     increment ``montgomery.precompute_cache_hits``.
     """
-    from repro.observability import OBS
-
+    if not OBS.enabled:
+        return _build_context(modulus, l, word_bits)
     before = _build_context.cache_info().misses
     ctx = _build_context(modulus, l, word_bits)
-    if OBS.enabled:
-        if _build_context.cache_info().misses != before:
-            OBS.count("montgomery.precompute")
-        else:
-            OBS.count("montgomery.precompute_cache_hits")
+    if _build_context.cache_info().misses != before:
+        OBS.count("montgomery.precompute")
+    else:
+        OBS.count("montgomery.precompute_cache_hits")
     return ctx
 
 

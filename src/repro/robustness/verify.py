@@ -5,7 +5,7 @@ Modular exponentiation admits no known sublinear external certificate —
 reduction subtracts an unknown multiple of ``N``.  What *is* possible,
 and what this module implements, is Shamir's extended-modulus trick
 turned outward: the verifier recomputes ``s = x^e mod (N·r)`` for a
-small random prime ``r`` on the independent CPython big-int path, checks
+small prime ``r`` on the independent CPython big-int path, checks
 its own arithmetic with the cheap Fermat residue ``s mod r ==
 (x mod r)^(e mod (r-1)) mod r`` (~30 squarings of 30-bit numbers,
 regardless of operand width), and then compares the backend's value to
@@ -13,6 +13,12 @@ regardless of operand width), and then compares the backend's value to
 upset corrupting the verifier's own pow is caught by a second,
 structurally different computation — while the comparison is exact, so
 the false-negative rate on corrupted outputs is zero.
+
+Each verifier draws a table of :data:`WITNESS_TABLE_SIZE` witness primes
+once, from its policy's seed, and picks one per request by a keyed hash
+of the request id, so a check does no prime search.  Sampling decisions
+use the same kind of keyed hash (:func:`hashed_unit`): deterministic
+per key in every process, whatever ``PYTHONHASHSEED`` says.
 
 For the simulator backends this is cheap insurance: their wall cost per
 cycle is 200–3000× the integer path (see ``wall_weight`` in
@@ -33,8 +39,11 @@ Two cheaper invariants complement the recompute:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 from repro.errors import FaultDetected, ParameterError
 
@@ -42,11 +51,34 @@ __all__ = [
     "VERIFY_MODES",
     "VerifyPolicy",
     "ResultVerifier",
+    "WITNESS_TABLE_SIZE",
+    "hashed_unit",
     "residue_witness",
     "walter_bound_ok",
 ]
 
 VERIFY_MODES = ("off", "sampled", "full")
+
+#: Witness primes each verifier draws up front (a request picks one).
+WITNESS_TABLE_SIZE = 256
+
+
+def _keyed_u64(key: str) -> int:
+    return int.from_bytes(
+        hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
+    )
+
+
+def hashed_unit(key: str) -> float:
+    """A deterministic point in ``[0, 1)`` for ``key``: its keyed hash.
+
+    The same key maps to the same point in every process (unlike the
+    built-in ``hash()``, which is salted per process), and distinct keys
+    spread uniformly, so ``hashed_unit(key) < rate`` samples a ``rate``
+    share of keys.  The top 53 bits of the digest make the float, so the
+    point never rounds up to 1.
+    """
+    return (_keyed_u64(key) >> 11) * (1.0 / (1 << 53))
 
 
 def walter_bound_ok(t: int, n: int) -> bool:
@@ -60,6 +92,13 @@ def _small_prime(rng: random.Random, bits: int) -> int:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if _is_probable_prime(candidate):
             return candidate
+
+
+@lru_cache(maxsize=16)
+def _witness_table(seed: int, bits: int) -> Tuple[int, ...]:
+    """The :data:`WITNESS_TABLE_SIZE` ``bits``-bit witness primes of ``seed``."""
+    rng = random.Random(f"witness|{seed}")
+    return tuple(_small_prime(rng, bits) for _ in range(WITNESS_TABLE_SIZE))
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -114,10 +153,10 @@ class VerifyPolicy:
     sample_rate:
         Fraction of responses verified under ``"sampled"``.
     seed:
-        Seeds both the sampling decision and the witness-prime draw, so
-        a drill is reproducible end to end.
+        Keys the sampling hash, the witness-prime table and each
+        request's pick from it, so a drill is reproducible end to end.
     witness_bits:
-        Bit length of the random residue-witness prime.
+        Bit length of the residue-witness primes.
     """
 
     mode: str = "off"
@@ -144,24 +183,31 @@ class VerifyPolicy:
         return self.mode != "off"
 
     def should_verify(self, request_id: str, attempt: int = 0) -> bool:
-        """Deterministic per-(request, attempt) sampling decision."""
+        """Deterministic per-(request, attempt) sampling decision.
+
+        A first attempt is sampled when the keyed hash of
+        ``(seed, request_id)`` falls below ``sample_rate``.
+        """
         if self.mode == "off":
             return False
         if self.mode == "full" or attempt > 0:
             return True
-        rng = random.Random(f"verify|{self.seed}|{request_id}")
-        return rng.random() < self.sample_rate
+        return hashed_unit(f"verify|{self.seed}|{request_id}") < self.sample_rate
 
 
 class ResultVerifier:
     """Checks one response value against ``base^exponent mod N``.
 
-    Stateless apart from the policy; safe to share across threads (each
-    check builds its own deterministic RNG from the request id).
+    Draws its witness-prime table once, from the policy's seed (shared
+    by every verifier of that seed and width); a check picks one prime
+    by a keyed hash of the request id.  Read-only after construction,
+    so safe to share across threads.
     """
 
     def __init__(self, policy: VerifyPolicy) -> None:
         self.policy = policy
+        self.witnesses = _witness_table(policy.seed, policy.witness_bits)
+        self._pick_prefix = f"witness|{policy.seed}|"
 
     def check(self, request, value: int) -> None:
         """Raise :class:`FaultDetected` unless ``value`` is the true result.
@@ -181,8 +227,10 @@ class ResultVerifier:
                 "corruption or wrong reduction",
                 check="range",
             )
-        rng = random.Random(f"witness|{self.policy.seed}|{request.request_id}")
-        r = _small_prime(rng, self.policy.witness_bits)
+        r = self.witnesses[
+            _keyed_u64(f"{self._pick_prefix}{request.request_id}")
+            % WITNESS_TABLE_SIZE
+        ]
         s = pow(request.base, request.exponent, n * r)
         if s % r != residue_witness(request.base, request.exponent, r):
             # The verifier's own recompute failed its residue self-check:

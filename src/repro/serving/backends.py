@@ -42,6 +42,7 @@ from repro.montgomery.params import (
 )
 from repro.robustness.verify import walter_bound_ok
 from repro.serving.request import ModExpRequest
+from repro.systolic.timing import mmm_cycles_corrected
 
 __all__ = [
     "BackendCapabilities",
@@ -152,8 +153,6 @@ class ModExpBackend(ABC):
         multiplications for a ``t``-bit exponent (pre/post included), each
         costing the corrected array latency.
         """
-        from repro.systolic.timing import mmm_cycles_corrected
-
         mults = 1.5 * request.exponent.bit_length() + 1
         return mmm_cycles_corrected(request.width) * mults
 
@@ -263,8 +262,6 @@ class CRTBackend(ModExpBackend):
     )
 
     def model_cycles(self, request):
-        from repro.systolic.timing import mmm_cycles_corrected
-
         half = max(request.width // 2, 2)
         mults = 1.5 * half + 1  # exponent reduced mod (p-1): ~half-length
         return 2 * mmm_cycles_corrected(half) * mults

@@ -50,9 +50,11 @@ class SlotWindow:
     pool has admitted.  :meth:`reserve` applies the bound (raising
     :class:`~repro.errors.QueueFull` past it), :meth:`release` frees one
     future's slot exactly once however many times it is called (result,
-    abandonment, shutdown may race), and :meth:`wait` blocks callers
-    that prefer flow control over rejection.  The current depth is
-    exported as the ``serving.queue_depth`` gauge on every change.
+    abandonment, shutdown may race), :meth:`release_many` does the same
+    for a whole result frame's futures under one lock, and :meth:`wait`
+    blocks callers that prefer flow control over rejection.  The current
+    depth is exported as the ``serving.queue_depth`` gauge on every
+    change.
     """
 
     def __init__(self, limit: int) -> None:
@@ -104,6 +106,25 @@ class SlotWindow:
             self._gauge()
             self._cond.notify_all()
             return True
+
+    def release_many(self, futures: Sequence[Future]) -> int:
+        """:meth:`release` every future of ``futures`` under one lock.
+
+        The same per-future flag applies, so a future already released
+        (abandoned, say) is skipped.  Waiters are woken once.  Returns
+        how many slots this call released.
+        """
+        with self._cond:
+            released = 0
+            for future in futures:
+                if not getattr(future, "_repro_released", False):
+                    future._repro_released = True
+                    released += 1
+            if released:
+                self._inflight -= released
+                self._gauge()
+                self._cond.notify_all()
+            return released
 
     def cancel_reservation(self, slots: int = 1) -> None:
         """Back out slots reserved for a submission that never happened."""
@@ -492,8 +513,8 @@ class InlinePool(WindowedPool):
                 future.set_result(row_payload(row, worker))
             else:
                 future.set_exception(row["exc"])
-            self._window.release(future)
             futures.append(future)
+        self._window.release_many(futures)
         return futures
 
     def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:

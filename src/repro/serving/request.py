@@ -96,7 +96,9 @@ class ModExpRequest:
             )
         if self.budget_s is not None and self.budget_s <= 0:
             raise ParameterError(f"budget_s must be > 0, got {self.budget_s}")
-        ensure_odd("modulus", self.modulus)
+        modulus = self.modulus
+        if type(modulus) is not int or modulus <= 0 or not modulus & 1:
+            ensure_odd("modulus", modulus)  # raises the precise error
         if self.modulus < 3:
             raise ParameterError(f"modulus must be >= 3, got {self.modulus}")
         if self.exponent < 1:

@@ -58,7 +58,6 @@ those paths is exercised deterministically in tests and drills.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
 from concurrent.futures import Future
@@ -80,7 +79,7 @@ from repro.observability.flightrec import find_bundles
 from repro.robustness.breaker import BreakerBoard, BreakerConfig
 from repro.robustness.chaos import ChaosConfig
 from repro.robustness.retry import RetryBudget, RetryPolicy
-from repro.robustness.verify import ResultVerifier, VerifyPolicy
+from repro.robustness.verify import ResultVerifier, VerifyPolicy, hashed_unit
 from repro.serving.backends import (
     BackendRegistry,
     ModExpBackend,
@@ -586,7 +585,8 @@ class ModExpService:
         """Run the verification policy over one completed value."""
         if self._verifier is None:
             return None
-        if not self.verify_policy.should_verify(self._rid(entry), attempt):
+        rid = self._rid(entry)
+        if not self.verify_policy.should_verify(rid, attempt):
             return None
         if self._brownout is not None:
             # Brownout step one: thin verification before touching any
@@ -594,8 +594,7 @@ class ModExpService:
             # value's fate does not depend on collection order.
             scale = self._brownout.verify_scale()
             if scale < 1.0:
-                rng = random.Random(f"brownout-verify|{self._rid(entry)}|{attempt}")
-                if rng.random() >= scale:
+                if hashed_unit(f"brownout-verify|{rid}|{attempt}") >= scale:
                     if OBS.enabled:
                         OBS.count("serving.verify_skipped", reason="brownout")
                     return None

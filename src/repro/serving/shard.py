@@ -84,6 +84,7 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from concurrent.futures import Future, InvalidStateError
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -817,7 +818,7 @@ class ShardPool(WindowedPool):
                         future.set_exception(exc)
                     except InvalidStateError:
                         pass
-                    self._window.release(future)
+                self._window.release_many(futures)
 
     def _send_frame(
         self,
@@ -855,8 +856,6 @@ class ShardPool(WindowedPool):
         The service assigns unique ids whenever chaos or verification is
         active, so deterministic fault plans never see rewritten ids.
         """
-        from dataclasses import replace
-
         seen: set = set()
         out: List[ModExpRequest] = []
         for pos, request in enumerate(requests):
@@ -999,7 +998,7 @@ class ShardPool(WindowedPool):
                         )
                     except InvalidStateError:
                         pass
-                self._window.release(future)
+            self._window.release_many(pending.futures)
         self._handle_death(shard)
 
     def _frame_corruption(
@@ -1171,7 +1170,7 @@ class ShardPool(WindowedPool):
                     )
                 except InvalidStateError:
                     pass
-                self._window.release(future)
+            self._window.release_many(pending.futures)
 
     # ------------------------------------------------------------------
     # Shutdown

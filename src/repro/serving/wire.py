@@ -175,6 +175,24 @@ def _to_int(value: Any, field: str, request_id: str) -> int:
     )
 
 
+def _number(obj: Dict[str, Any], field: str, request_id: str) -> Optional[float]:
+    value = obj.get(field)
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _wire_error(f"field {field!r} must be a number", request_id)
+    return float(value)
+
+
+#: Every field a request line may carry.
+_REQUEST_FIELDS = frozenset(
+    (
+        "id", "base", "exponent", "modulus", "l", "p", "q", "timeout", "deadline",
+        "budget_ms", "priority",
+    )
+)
+
+
 def parse_request_line(line: str) -> ModExpRequest:
     """Parse one JSON request line into a :class:`ModExpRequest`.
 
@@ -186,58 +204,58 @@ def parse_request_line(line: str) -> ModExpRequest:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _wire_error(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise _wire_error(f"request line must be a JSON object, got {type(obj).__name__}")
 
     raw_id = obj.get("id", "")
-    request_id = str(raw_id) if raw_id is not None else ""
+    if type(raw_id) is str:
+        request_id = raw_id
+    else:
+        request_id = str(raw_id) if raw_id is not None else ""
 
-    unknown = set(obj) - {
-        "id", "base", "exponent", "modulus", "l", "p", "q", "timeout", "deadline",
-        "budget_ms", "priority",
-    }
-    if unknown:
-        raise _wire_error(
-            f"unknown request fields: {', '.join(sorted(unknown))}", request_id
-        )
+    if not _REQUEST_FIELDS.issuperset(obj):
+        unknown = sorted(set(obj) - _REQUEST_FIELDS)
+        raise _wire_error(f"unknown request fields: {', '.join(unknown)}", request_id)
     for field in ("base", "exponent", "modulus"):
         if field not in obj:
             raise _wire_error(f"missing required field {field!r}", request_id)
 
     factors: Optional[Tuple[int, int]] = None
-    if ("p" in obj) != ("q" in obj):
-        raise _wire_error("factors p and q must be given together", request_id)
-    if "p" in obj:
+    if "p" in obj or "q" in obj:
+        if ("p" in obj) != ("q" in obj):
+            raise _wire_error("factors p and q must be given together", request_id)
         factors = (
             _to_int(obj["p"], "p", request_id),
             _to_int(obj["q"], "q", request_id),
         )
 
-    def _number(field: str) -> Optional[float]:
-        if field not in obj or obj[field] is None:
-            return None
-        value = obj[field]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _wire_error(f"field {field!r} must be a number", request_id)
-        return float(value)
-
     priority = obj.get("priority", "batch")
-    if not isinstance(priority, str):
+    if type(priority) is not str:
         raise _wire_error("field 'priority' must be a string", request_id)
-    budget_ms = _number("budget_ms")
+    budget_ms = _number(obj, "budget_ms", request_id)
     if budget_ms is not None and budget_ms <= 0:
         raise _wire_error("field 'budget_ms' must be > 0", request_id)
 
+    base, exponent, modulus = obj["base"], obj["exponent"], obj["modulus"]
+    if type(base) is not int:
+        base = _to_int(base, "base", request_id)
+    if type(exponent) is not int:
+        exponent = _to_int(exponent, "exponent", request_id)
+    if type(modulus) is not int:
+        modulus = _to_int(modulus, "modulus", request_id)
+    l = obj.get("l", 0)
+    if type(l) is not int:
+        l = _to_int(l, "l", request_id)
     try:
         return ModExpRequest(
-            base=_to_int(obj["base"], "base", request_id),
-            exponent=_to_int(obj["exponent"], "exponent", request_id),
-            modulus=_to_int(obj["modulus"], "modulus", request_id),
+            base=base,
+            exponent=exponent,
+            modulus=modulus,
             request_id=request_id,
-            l=_to_int(obj.get("l", 0), "l", request_id),
+            l=l,
             factors=factors,
-            timeout=_number("timeout"),
-            deadline=_number("deadline"),
+            timeout=_number(obj, "timeout", request_id),
+            deadline=_number(obj, "deadline", request_id),
             priority=priority,
             budget_s=None if budget_ms is None else budget_ms / 1000.0,
         )
@@ -294,8 +312,75 @@ def result_to_dict(result: ModExpResult) -> Dict[str, Any]:
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_scalar(value: Any) -> str:
+    """One scalar spelled as ``json.dumps`` spells it (``ensure_ascii``)."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def result_to_json(result: ModExpResult) -> str:
-    return json.dumps(result_to_dict(result), sort_keys=True)
+    """``json.dumps(result_to_dict(result), sort_keys=True)``, byte for byte.
+
+    Formatted directly, keys in sorted order, because it runs once per
+    response line.  Each field of its declared type is spelled inline;
+    any other value goes through :func:`_json_scalar`.
+    """
+    out = "{"
+    backend = result.backend
+    if backend:
+        backend = _encode_str(backend) if type(backend) is str else _json_scalar(backend)
+        out += f'"backend": {backend}, '
+    batch = result.batch_index
+    if batch is not None:
+        out += f'"batch": {batch if type(batch) is int else _json_scalar(batch)}, '
+    rid = result.request_id
+    rid = _encode_str(rid) if type(rid) is str else _json_scalar(rid)
+    if result.ok:
+        value = result.value
+        assert value is not None
+        cycles = result.cycles
+        if cycles is not None:
+            out += f'"cycles": {cycles if type(cycles) is int else _json_scalar(cycles)}, '
+        ok = "true" if result.ok is True else _json_scalar(result.ok)
+        if type(value) is int and -_JSON_SAFE_INT < value < _JSON_SAFE_INT:
+            out += f'"id": {rid}, "ok": {ok}, "value": {value}'
+        else:
+            out += f'"id": {rid}, "ok": {ok}, "value": {_json_scalar(_wire_int(value))}'
+        if result.wall_us is not None:
+            wall = round(result.wall_us, 1)
+            if type(wall) is float and -_INF < wall < _INF:
+                out += f', "wall_us": {wall!r}'
+            else:
+                out += f', "wall_us": {_json_scalar(wall)}'
+        return out + "}"
+    if result.bundle_path:
+        out += f'"bundle_path": {_json_scalar(result.bundle_path)}, '
+    return (
+        f'{out}"error": {_json_scalar(result.error)}, '
+        f'"error_type": {_json_scalar(result.error_type)}, '
+        f'"id": {rid}, "ok": {_json_scalar(result.ok)}}}'
+    )
 
 
 def read_requests(

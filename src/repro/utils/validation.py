@@ -19,6 +19,8 @@ __all__ = [
 
 def ensure_int(name: str, value) -> int:
     """Return ``value`` if it is an ``int`` (bool excluded), else raise."""
+    if type(value) is int:  # the common case, checked without isinstance
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{name} must be an int, got {type(value).__name__}")
     return value

@@ -111,6 +111,29 @@ class TestBackpressure:
             assert window.depth == 0
         assert registry.gauge("serving.queue_depth").value() == 0
 
+    def test_release_many_frees_each_slot_once(self):
+        """A future both abandoned and answered in one frame frees one slot."""
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            window = SlotWindow(8)
+            window.reserve(4)
+            futures = [Future() for _ in range(4)]
+            assert window.release(futures[1])  # abandoned before its frame lands
+            assert window.depth == 3
+            assert window.release_many(futures) == 3
+            assert window.release_many(futures) == 0
+            assert not window.release(futures[0])
+            assert window.depth == 0
+        assert registry.gauge("serving.queue_depth").value() == 0
+
+    def test_release_many_wakes_a_waiter(self):
+        window = SlotWindow(2)
+        window.reserve(2)
+        futures = [Future(), Future()]
+        threading.Timer(0.05, window.release_many, args=(futures,)).start()
+        assert window.wait(timeout=30, slots=2)
+        assert window.depth == 0
+
     def test_submit_after_shutdown_rejects(self):
         pool = _inline()
         pool.shutdown()
