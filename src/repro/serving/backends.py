@@ -32,7 +32,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import FaultDetected, ParameterError
 from repro.montgomery.exponent import chain_kinds, modexp_chain, run_chain
@@ -291,17 +291,20 @@ class CRTBackend(ModExpBackend):
 class _NetlistBackend(ModExpBackend):
     """The gate-level MMMC netlist backend: one routine for every request.
 
-    Each ``(l, lanes)`` gets one elaborated :class:`GateLevelMMMC` on the
-    compiled kernel engine, reused across requests; every instance shares
-    one codegen'd kernel through the structural-key cache (lane count is
-    bound per simulator, not per kernel).  :meth:`_exponentiate` runs a
-    lone request, a same-exponent lane group and the chaos register-fault
-    path alike: the Algorithm 3 chain
+    Each width ``l`` gets one elaborated :class:`GateLevelMMMC` on the
+    compiled kernel engine, reused across requests.  Every lane group —
+    a lone request, a same-exponent group of up to ``capabilities.lanes``
+    requests and the chaos register-fault path alike — sweeps on a lane
+    word of exactly its size: the instance is rebound to ``k`` lanes
+    (:meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.rebind`, one kernel
+    factory call, no recompile), so no padding lane is ever evaluated.
+    :meth:`_exponentiate` runs the Algorithm 3 chain
     (:func:`~repro.montgomery.exponent.modexp_chain`) over one
     :meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.multiply_slots`
     sweep per multiplication, its operands kept as bus-slot words from the
     first product to the last, with the Walter ``T < 2N`` bound checked on
-    every product of every lane and the measured cycles checked against
+    every product of every lane, every lane's DONE checked against the
+    others, and the measured cycles checked against
     :func:`~repro.systolic.timing.exponentiation_cycles_measured`
     once per group.  The simulators are stateful, so a lock keeps
     concurrent callers from interleaving multiplications on one instance.
@@ -310,29 +313,16 @@ class _NetlistBackend(ModExpBackend):
     def __init__(self) -> None:
         import threading
 
-        self._mmmcs: Dict[Tuple[int, int], object] = {}
+        self._mmmcs: Dict[int, object] = {}
         self._lock = threading.Lock()
 
-    def sweep_lanes(self, k: int) -> int:
-        """Width of the lane word a ``k``-request group sweeps on.
-
-        ``k`` rounded up to a multiple of 64, capped at
-        ``capabilities.lanes``.  The cell-sliced kernel's word operations
-        span every cell's slots, so their cost grows with the lane count:
-        at l=64 the kernel costs ~10 us per cycle on 128 lanes against
-        ~14 us on 256 (docs/SIMULATION.md), and padding a group to the
-        full word would pay for lanes that carry nothing.
-        """
-        return min(-(-k // 64) * 64, self.capabilities.lanes)
-
-    def _mmmc(self, l: int, lanes: int = 1):
-        inst = self._mmmcs.get((l, lanes))
+    def _mmmc(self, l: int):
+        """The width's one netlist instance (elaborated on first use)."""
+        inst = self._mmmcs.get(l)
         if inst is None:
             from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-            inst = self._mmmcs[l, lanes] = GateLevelMMMC(
-                l, simulator="compiled", lanes=lanes
-            )
+            inst = self._mmmcs[l] = GateLevelMMMC(l, simulator="compiled")
         return inst
 
     def _exponentiate(
@@ -369,11 +359,11 @@ class _NetlistBackend(ModExpBackend):
         assert all(ctx.l == l for ctx in contexts), "a lane sweep needs one l"
         ns = [ctx.modulus for ctx in contexts]
         exponent = requests[0].exponent
-        # A lone request runs on the one-lane instance: no lane padding
-        # and no lane-fill samples.
-        k = len(requests)
-        gate = self._mmmc(l, self.sweep_lanes(k) if k > 1 else 1)
-        lanes, width = gate.lanes, l + 1
+        # Every lane is live: the word is exactly the group (a lone
+        # request sweeps one lane and records no lane-fill samples).
+        k, width = len(requests), l + 1
+        gate = self._mmmc(l)
+        gate.rebind(k)
         bases = [r.base for r in requests]
         r2s = [ctx.r2_mod_n for ctx in contexts]
         # The chain's entry operands are validated once, per lane; every
@@ -382,13 +372,8 @@ class _NetlistBackend(ModExpBackend):
         for x, y, n in zip(bases, r2s, ns):
             gate.validate(x, y, n)
 
-        def slots(values: List[int]) -> int:
-            # Padding lanes replicate the last request (their results are
-            # dropped and the Walter check skips them).
-            return pack_slots(values + values[-1:] * (lanes - k), width)
-
-        n_word = slots(ns)
-        two_n = n_word << lanes  # every lane's N one slot up: 2N
+        n_word = pack_slots(ns, width)
+        two_n = n_word << k  # every lane's N one slot up: 2N
         live = (1 << k) - 1
         cycles = 0
         issued = 0
@@ -400,16 +385,18 @@ class _NetlistBackend(ModExpBackend):
             issued += 1
             t, took = gate.multiply_slots(x, y, n_word, k)
             cycles += took  # lock-step: every lane pays the same
-            bad = live & ~slots_below(t, two_n, width, lanes, live)
+            bad = live & ~slots_below(t, two_n, width, k, live)
             if bad:
                 lane = (bad & -bad).bit_length() - 1
-                _walter_checked(unpack_slots(t, width, lanes)[lane], ns[lane], lane)
+                _walter_checked(unpack_slots(t, width, k)[lane], ns[lane], lane)
             return t
 
         # One transpose in per operand kind (the 1 is the lane mask in
         # slot 0), one transpose out for the final products.
-        chain = modexp_chain(slots(bases), exponent, slots(r2s), one=(1 << lanes) - 1)
-        values = unpack_slots(run_chain(chain, mont), width, lanes)[:k]
+        chain = modexp_chain(
+            pack_slots(bases, width), exponent, pack_slots(r2s, width), one=live
+        )
+        values = unpack_slots(run_chain(chain, mont), width, k)
         check_cycles(cycles, exponentiation_cycles_measured(l, exponent))
         return [BackendResult(v % n, cycles) for v, n in zip(values, ns)]
 
@@ -420,9 +407,9 @@ class _NetlistBackend(ModExpBackend):
     def execute_with_register_fault(self, ctx, request, rng):
         """Chaos hook: one seeded register bit flip mid-exponentiation.
 
-        Runs the request on the width's one-lane netlist instance with a
-        single-event upset scheduled into one randomly chosen
-        multiplication (register class, bit and cycle drawn from
+        Runs the request on a one-lane word of the width's netlist
+        instance with a single-event upset scheduled into one randomly
+        chosen multiplication (register class, bit and cycle drawn from
         ``rng``).  The flip may be masked (shadow-phase state), detected
         in-worker by the Walter-bound check, or surface as a silently
         wrong value for the service verifier to catch — the same three
@@ -468,8 +455,8 @@ class RTLBackend(_NetlistBackend):
     :class:`~repro.systolic.mmmc.MMMC`, run through the one netlist
     routine (:meth:`_NetlistBackend._exponentiate`).  Same-exponent
     groups of up to 256 requests of one width, under any mix of moduli,
-    run as one bit-sliced sweep per multiplication on a lane word of the
-    group size rounded up to a multiple of 64 (:meth:`sweep_lanes`).
+    run as one bit-sliced sweep per multiplication on a lane word of
+    exactly the group's size, rebound on the width's one netlist instance.
     """
 
     name = "rtl"

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import FaultDetected, ParameterError, SimulationError
 from repro.hdl.compiled import pack_slots, unpack_slots
 from repro.hdl.netlist import Circuit, Wire
 from repro.hdl.probes import make_sampler, mmmc_probe_set
@@ -232,6 +232,25 @@ class GateLevelMMMC:
         self._pending_fault = None
         self.sim.reset()
 
+    def rebind(self, lanes: int) -> None:
+        """Reset onto a ``lanes``-wide lane word of the same netlist and kernel.
+
+        A new lane count goes through :meth:`CompiledSimulator.rebind
+        <repro.hdl.compiled.CompiledSimulator.rebind>` (no elaboration,
+        no recompile); an unchanged one only resets.  Either way the
+        instance comes back reset, as a fresh one of that width would,
+        and a scheduled fault is dropped.  The interpreted engine has one
+        lane only.
+        """
+        if lanes == self.lanes:
+            self.sim.reset()
+        elif self.simulator != "compiled":
+            raise ParameterError("lane-packed simulation requires simulator='compiled'")
+        else:
+            self.sim.rebind(lanes)
+            self.lanes = lanes
+        self._pending_fault = None
+
     # ------------------------------------------------------------------
     # Fault injection (single-event-upset campaigns, chaos middleware)
     # ------------------------------------------------------------------
@@ -340,6 +359,21 @@ class GateLevelMMMC:
         if OBS.enabled:
             OBS.count("mmmc.faults_injected")
 
+    def _diverged(self, hub, rec, operands, used: int, cycles: int, done: int) -> None:
+        """Raise ``lane-divergence`` for a DONE word that is not all lanes."""
+        full = (1 << self.lanes) - 1
+        odd = done if 2 * bin(done).count("1") < self.lanes else full ^ done
+        lanes = [k for k in range(self.lanes) if (odd >> k) & 1]
+        message = (
+            f"lanes {lanes}: control diverged from the other lanes — DONE word "
+            f"{done:#x} of {full:#x} at cycle {cycles}"
+        )
+        if rec is not None:
+            rec.notify_fault(cycles, message, lane=lanes[0])
+            self._emit(hub, rec, operands, used, cycles)
+        self.sim.reset()  # leave the instance reusable after the raise
+        raise FaultDetected(message, check="lane-divergence")
+
     def validate(self, x: int, y: int, n: int) -> None:
         """Raise unless ``n`` is an odd ``l``-bit modulus and ``x, y`` lie in ``[0, 2N)``."""
         if n.bit_length() > self.l or n % 2 == 0 or n < 3:
@@ -417,8 +451,13 @@ class GateLevelMMMC:
         shares the same START/MUL/DONE schedule; each wire carries the K
         lanes as bits of one int and the compiled kernels evaluate them
         simultaneously.  Cycles are counted from the first MUL cycle to
-        DONE.  Lane metrics (``hdl.lane_fill`` and friends) are recorded
-        on multi-lane instances only.  Every exit, raising or not, closes
+        DONE.  When any lane's DONE rises, every lane's must: a lane whose
+        controller or counter left the common schedule would be read at
+        the wrong cycle, so a partial DONE word raises
+        :class:`~repro.errors.FaultDetected` (``check="lane-divergence"``)
+        naming the lanes that disagree with the majority.  Lane metrics
+        (``hdl.lane_fill`` and friends) are recorded on multi-lane
+        instances only.  Every exit, raising or not, closes
         the ``mmm`` span and restores ``sim.active_lanes``.
         """
         p, sim, core = self.ports, self.sim, self.ports.core
@@ -457,6 +496,7 @@ class GateLevelMMMC:
             vals = sim.values
             s0_i, s1_i, c1_i = self._s0_i, self._s1_i, self._c1_i
             carry_i, done_i = self._carry_i, self._done_i
+            full = (1 << self.lanes) - 1
             pending = self._take_pending_fault()
             # Decode/extraction follows the faulting lane when a fault is armed.
             lane_hint = pending[2] if pending is not None and pending[2] is not None else 0
@@ -492,7 +532,7 @@ class GateLevelMMMC:
                             self._emit(hub, rec, (x, y, n), used, cycles)
                         sim.reset()  # leave the instance reusable after the raise
                         raise SimulationError(message)
-                done = vals[done_i] & 1
+                done = vals[done_i]
                 cycles += 1
                 if in_mul:
                     if observed:
@@ -501,6 +541,8 @@ class GateLevelMMMC:
                 if observed:
                     OBS.tick()
                 if done:
+                    if done != full:
+                        self._diverged(hub, rec, (x, y, n), used, cycles, done)
                     break
             else:
                 if rec is not None:

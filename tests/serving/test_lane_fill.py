@@ -19,9 +19,6 @@ from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import GateLevelBackend
 from repro.utils.rng import random_odd_modulus
 
-# Every lane group below fits the short lane word, so every sweep is this wide.
-LANES = GateLevelBackend().sweep_lanes(1)
-
 
 def _mixed_requests(rng, moduli, exponents, count):
     """The profiler's traffic shape: requests cycle through moduli and
@@ -56,14 +53,12 @@ class TestBackendLaneFill:
 
         fill = registry.histogram("hdl.lane_fill").aggregate()
         assert fill.min == fill.max == 4
-        # every sweep recorded exactly one fill sample, labelled lanes=LANES
-        assert registry.histogram("hdl.lane_fill").aggregate(lanes=LANES).count == fill.count
-        # each MMM sweep wastes (LANES-4) lanes; totals must match exactly
+        # every sweep recorded exactly one fill sample, on a 4-lane word
+        assert registry.histogram("hdl.lane_fill").aggregate(lanes=4).count == fill.count
         sweeps = registry.counter("hdl.lanes_packed").total() / 4
-        wasted = registry.counter("hdl.wasted_lane_cycles").total()
         assert sweeps == fill.count
-        cycles_per_mult = 3 * 9 + 5  # corrected-mode gate netlist at l=9
-        assert wasted == (LANES - 4) * cycles_per_mult * sweeps
+        # the word is the group, so no sweep carries an idle lane
+        assert registry.counter("hdl.wasted_lane_cycles").total() == 0
 
     def test_scalar_dispatch_records_no_fill(self):
         rng = random.Random("fill-scalar")

@@ -1,8 +1,8 @@
 """Bit-sliced lane batching through the serving layer.
 
-Coalesced batches of same-width, same-exponent requests ride one 64- or
-256-lane compiled simulator sweep instead of one scalar simulation per
-request, each lane under its own modulus; mixed exponents and short
+Coalesced batches of same-width, same-exponent requests ride one compiled
+simulator sweep, on a lane word of exactly the group's size, instead of
+one scalar simulation per request, each lane under its own modulus; mixed exponents and short
 batches degrade gracefully to scalar dispatch.  The wire format, result
 ordering and SLO inputs must be indistinguishable from scalar execution.
 """
@@ -20,6 +20,7 @@ from repro.observability import MetricsRegistry, SpanTracer, observe
 from repro.serving import ModExpRequest, ModExpService
 from repro.serving.backends import GateLevelBackend, RTLBackend
 from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.timing import exponentiation_cycles_measured
 from repro.utils.rng import random_odd_modulus
 
 
@@ -63,13 +64,10 @@ class TestBackendLanes:
             assert registry.counter("hdl.lanes_packed").total() > 0
 
     def test_sweep_width_follows_group_size(self):
-        """A group sweeps on its size rounded up to a multiple of 64 lanes,
-        capped at the full word; every word shares one compiled kernel."""
+        """A group sweeps on a lane word of exactly its size, rebound on the
+        width's one netlist instance; every word shares one compiled kernel
+        and no lane cycle is wasted."""
         backend = GateLevelBackend()
-        full = backend.capabilities.lanes
-        assert [backend.sweep_lanes(k) for k in (2, 64, 65, 129, full, full + 1)] == [
-            64, 64, 128, 192, full, full,
-        ]
         rng = random.Random("lanes-width")
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
@@ -81,15 +79,13 @@ class TestBackendLanes:
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
         fill = registry.histogram("hdl.lane_fill")
-        word = backend.sweep_lanes(65)
-        narrow, wide = fill.aggregate(lanes=64), fill.aggregate(lanes=word)
+        narrow, wide = fill.aggregate(lanes=64), fill.aggregate(lanes=65)
         assert narrow.min == narrow.max == 64
         assert wide.min == wide.max == 65
         assert narrow.count + wide.count == fill.aggregate().count
-        cycles = 3 * 9 + 5  # corrected-mode gate netlist at l=9
-        wasted = registry.counter("hdl.wasted_lane_cycles").total()
-        assert wasted == (word - 65) * cycles * wide.count
+        assert registry.counter("hdl.wasted_lane_cycles").total() == 0
         assert registry.counter("hdl.compile_cache_misses").total() == 1
+        assert list(backend._mmmcs) == [9]
 
     def test_execute_many_singletons_take_the_scalar_path(self):
         rng = random.Random("lanes-single")
@@ -191,7 +187,7 @@ class TestMixedModulusLanes:
         ]
         contexts = [precompute_montgomery_constants(r.modulus) for r in requests]
         backend = RTLBackend()
-        gate = backend._mmmc(16, backend.sweep_lanes(2))
+        gate = backend._mmmc(16)
         real = gate.multiply_slots
         bad = 2 * small + 1
         assert 2 * small <= bad < 2 * large
@@ -240,7 +236,7 @@ class TestOneRoutineChecks:
         requests = _requests(rng, n, 2, exponent=17)
         ctx = precompute_montgomery_constants(n)
         backend = RTLBackend()
-        gate = backend._mmmc(16, backend.sweep_lanes(2))
+        gate = backend._mmmc(16)
         real = gate.multiply_slots
 
         def one_cycle_slow(x, y, n, used):
@@ -318,6 +314,37 @@ class TestServiceLaneDispatch:
             assert res.ok, res
             assert res.value == pow(req.base, req.exponent, n)
         assert registry.counter("hdl.lanes_packed").total() == 0
+
+
+class TestExactLaneWords:
+    """One netlist instance per width, rebound to each group's exact size."""
+
+    def test_groups_of_1_2_65_170_at_two_widths(self):
+        rng = random.Random("exact-words")
+        sizes = {3: 1, 5: 2, 17: 65, 257: 170}  # exponent -> group size
+        backend = RTLBackend()
+        clear_kernel_cache()
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            for l in (12, 24):
+                n = random_odd_modulus(l, rng)
+                ctx = precompute_montgomery_constants(n)
+                reqs = []
+                for exponent, size in sizes.items():
+                    reqs += _requests(rng, n, size, exponent=exponent)
+                rng.shuffle(reqs)
+                results = backend.execute_many([ctx] * len(reqs), reqs)
+                for req, res in zip(reqs, results):
+                    assert res.value == pow(req.base, req.exponent, n)
+                    assert res.cycles == exponentiation_cycles_measured(l, req.exponent)
+        assert sorted(backend._mmmcs) == [12, 24]
+        assert registry.counter("hdl.compile_cache_misses").total() == 2
+        assert registry.counter("hdl.wasted_lane_cycles").total() == 0
+        fill = registry.histogram("hdl.lane_fill")
+        for size in (2, 65, 170):
+            sweeps = fill.aggregate(lanes=size)
+            assert sweeps.min == sweeps.max == size
+        assert fill.aggregate().min == 2  # a lone request records no fill
 
 
 class TestFullLaneWord:

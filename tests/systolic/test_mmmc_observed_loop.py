@@ -193,7 +193,7 @@ class TestOneLoop:
 
 class TestBackendSweep:
     def test_200_request_group_is_one_sweep(self):
-        """200 same-exponent requests at l=64 fit one 256-lane sweep per
+        """200 same-exponent requests at l=64 are one 200-lane sweep per
         multiplication, and every value and cycle count matches the
         behavioral MMMC."""
         rng = random.Random("lanes-200")
@@ -212,9 +212,10 @@ class TestBackendSweep:
             assert res.value == pow(req.base, exponent, n)
         # to-Montgomery, 16 squarings, 1 multiply, from-Montgomery
         mults = 1 + 16 + 1 + 1
-        fill = registry.histogram("hdl.lane_fill").aggregate(lanes=LANES)
+        fill = registry.histogram("hdl.lane_fill").aggregate(lanes=200)
         assert fill.count == mults
         assert fill.min == fill.max == 200
+        assert registry.counter("hdl.wasted_lane_cycles").total() == 0
         # The behavioral MMMC's cycle count does not depend on the base, so
         # one reference run pins every laned request's cycles.
         ref = ModularExponentiator(ctx, engine="rtl").exponentiate(reqs[0].base, exponent)
