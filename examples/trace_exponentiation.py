@@ -32,7 +32,7 @@ def main(out_path: str = "trace.json", l: int = 8) -> None:
     registry = MetricsRegistry()
     tracer = SpanTracer(detail="state")
     with observe(metrics=registry, tracer=tracer):
-        exp = ModularExponentiator(ctx, engine="rtl")
+        exp = ModularExponentiator(ctx, engine="behavioral")
         run = exp.exponentiate(message, exponent)
 
     print(f"exponentiation: {message}^{exponent} mod {n} = {run.result}")

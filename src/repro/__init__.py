@@ -14,7 +14,7 @@ Cycle-accurate hardware::
 
     from repro import MMMC, ModularExponentiator
     run = MMMC(ctx.l).multiply(x, y, ctx.modulus)   # run.cycles == 3l+5
-    exp = ModularExponentiator(ctx, engine="rtl")
+    exp = ModularExponentiator(ctx, engine="behavioral")
     r = exp.exponentiate(message, exponent)
 
 FPGA implementation model (Tables 1-2)::

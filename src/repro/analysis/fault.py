@@ -17,18 +17,16 @@ Injection model: after the clock edge of the chosen cycle, one register
 bit is inverted; the multiplication then runs to completion and the
 result is compared against the fault-free value.
 
-Three engines share the same :class:`FaultSite` addressing:
+Three engines (:data:`FAULT_ENGINES`) share the same :class:`FaultSite`
+addressing: ``"behavioral"`` flips registers of the vectorized
+:class:`SystolicArrayRTL` directly in its Python state;
+``"netlist-interpreted"`` flips real DFF outputs of the full Fig. 3
+netlist (:class:`~repro.systolic.mmmc_netlist.GateLevelMMMC`) via
+:meth:`GateLevelMMMC.schedule_fault`; ``"netlist"`` does the same on the
+codegen'd bit-sliced engine, proving the closure-cell register state is
+as injectable as the interpreted value array.
 
-* ``"rtl"`` — the vectorized behavioral model (:class:`SystolicArrayRTL`),
-  registers flipped directly in its Python state;
-* ``"gate"`` — the full Fig. 3 netlist through the interpreted
-  simulator (:class:`~repro.systolic.mmmc_netlist.GateLevelMMMC`),
-  flipping real DFF outputs via :meth:`GateLevelMMMC.schedule_fault`;
-* ``"compiled"`` — the same netlist through the codegen'd bit-sliced
-  engine, proving the closure-cell register state is as injectable as
-  the interpreted value array.
-
-The gate engines count cycles from the first post-load clock edge, so a
+The netlist engines count cycles from the first post-load clock edge, so a
 site's ``cycle`` lands in the MMMC's ``3l+4`` (corrected) datapath
 window rather than the bare array's; corruption statistics per register
 class remain directly comparable.
@@ -46,6 +44,7 @@ from repro.montgomery.algorithms import montgomery_no_subtraction
 from repro.montgomery.params import MontgomeryContext
 from repro.systolic.array import SystolicArrayRTL
 from repro.systolic.mmmc_netlist import GateLevelMMMC
+from repro.systolic.substrate import HARDWARE_ENGINES, check_engine, make_mmmc
 
 __all__ = [
     "FaultSite",
@@ -61,7 +60,7 @@ __all__ = [
 REGISTER_CLASSES = ("t", "c0", "c1", "x_pipe", "m_pipe", "result", "x_shift")
 
 #: Simulation engines a campaign can target.
-FAULT_ENGINES = ("rtl", "gate", "compiled")
+FAULT_ENGINES = HARDWARE_ENGINES
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ def inject_fault(
     site: FaultSite,
     *,
     mode: str = "corrected",
-    engine: str = "rtl",
+    engine: str = "behavioral",
     _mmmc: Optional[GateLevelMMMC] = None,
 ) -> FaultOutcome:
     """Run one multiplication with one injected bit flip.
@@ -181,16 +180,13 @@ def inject_fault(
     ``_mmmc`` lets :func:`fault_campaign` reuse one elaborated netlist
     across hundreds of injections instead of re-elaborating per site.
     """
-    if engine not in FAULT_ENGINES:
-        raise ParameterError(f"engine must be one of {FAULT_ENGINES}, got {engine!r}")
+    check_engine(engine, FAULT_ENGINES)
     ctx = MontgomeryContext(n)
     fault_free = montgomery_no_subtraction(ctx, x, y)
-    if engine != "rtl":
+    if engine != "behavioral":
         mmmc = _mmmc
         if mmmc is None:
-            mmmc = GateLevelMMMC(
-                l, mode=mode, simulator="interpreted" if engine == "gate" else "compiled"
-            )
+            mmmc = make_mmmc(engine, l, mode)
         return _inject_fault_mmmc(mmmc, x, y, n, site, fault_free)
     arr = SystolicArrayRTL(l, mode=mode)
     arr.load(x, y, n)
@@ -230,22 +226,19 @@ def fault_campaign(
     seed: int = 0,
     registers: Tuple[str, ...] = ("t", "c0", "c1", "x_pipe", "m_pipe"),
     mode: str = "corrected",
-    engine: str = "rtl",
+    engine: str = "behavioral",
 ) -> List[FaultOutcome]:
     """Inject many faults into the same multiplication.
 
     With ``sites=None``, samples ``samples`` random (cycle, register,
     index) sites from ``registers`` uniformly.  ``engine`` selects the
-    simulation substrate (:data:`FAULT_ENGINES`); gate-level engines
+    simulation substrate (:data:`FAULT_ENGINES`); the netlist engines
     elaborate the netlist once and reuse it for every injection.
     """
-    if engine not in FAULT_ENGINES:
-        raise ParameterError(f"engine must be one of {FAULT_ENGINES}, got {engine!r}")
+    check_engine(engine, FAULT_ENGINES)
     mmmc: Optional[GateLevelMMMC] = None
-    if engine != "rtl":
-        mmmc = GateLevelMMMC(
-            l, mode=mode, simulator="interpreted" if engine == "gate" else "compiled"
-        )
+    if engine != "behavioral":
+        mmmc = make_mmmc(engine, l, mode)
     if sites is None:
         rng = random.Random(seed)
         if mmmc is not None:

@@ -49,6 +49,7 @@ from repro.serving.request import ModExpRequest
 from repro.chip.chip import ChipModel
 from repro.chip.interleave import MMMOp
 from repro.chip.schedule import completion_estimate_cycles, speedup_model
+from repro.systolic.substrate import CHIP_ENGINES, check_engine
 
 __all__ = ["ChipBackend"]
 
@@ -63,17 +64,15 @@ class ChipBackend(ModExpBackend):
         *,
         tiles: int = 2,
         waves: int = 2,
-        engine: str = "rtl",
+        engine: str = "behavioral",
         fifo_depth: int = 8,
         dispatch: str = "least-depth",
         mode: str = "corrected",
         max_bits: int = 64,
     ) -> None:
-        if engine not in ("rtl", "gate"):
-            raise ParameterError(f"chip backend engine must be rtl|gate, got {engine!r}")
         self.tiles = tiles
         self.waves = waves
-        self.engine = engine
+        self.engine = check_engine(engine, CHIP_ENGINES)
         self.fifo_depth = fifo_depth
         self.dispatch = dispatch
         self.mode = mode
@@ -82,7 +81,7 @@ class ChipBackend(ModExpBackend):
                 f"{tiles}-tile x {waves}-wave interleaved systolic chip "
                 f"({engine} arrays, {dispatch} dispatch)"
             ),
-            max_bits=max_bits if engine == "rtl" else min(max_bits, 10),
+            max_bits=max_bits if engine == "behavioral" else min(max_bits, 10),
             cycle_accurate=True,
             simulator=True,
             lanes=tiles * waves,

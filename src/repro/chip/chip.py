@@ -46,7 +46,7 @@ class ChipModel:
         tiles: int = 2,
         waves: int = 2,
         mode: str = "corrected",
-        engine: str = "rtl",
+        engine: str = "behavioral",
         fifo_depth: int = 8,
         dispatcher: Union[str, Dispatcher] = "round-robin",
     ) -> None:

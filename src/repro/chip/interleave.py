@@ -13,7 +13,7 @@ l=64) toward zero as ``W`` grows.
 
 Engines
 -------
-``engine="rtl"`` steps one :class:`~repro.systolic.array.SystolicArrayRTL`
+``engine="behavioral"`` steps one :class:`~repro.systolic.array.SystolicArrayRTL`
 per in-flight wave in true lock-step on a shared chip clock.  Each chip
 cycle the per-wave busy masks are OR-merged and checked **pairwise
 disjoint** — the structural-hazard proof obligation: if two waves ever
@@ -24,13 +24,13 @@ unbuildable machine.  The merged mask feeds the occupancy recorder as a
 single track, so measured idle fractions account the *shared* cell
 lattice, not W copies of it.
 
-``engine="gate"`` runs each wave's multiplication through the gate-level
+``engine="netlist"`` runs each wave's multiplication through the gate-level
 :class:`~repro.systolic.mmmc_netlist.GateLevelMMMC` at issue time (the
 netlist drives its own controller and cannot be single-stepped from
 outside), then replays the closed-form
 :func:`~repro.observability.occupancy.schedule_busy_mask` stream at the
-scheduled wave offsets — the same closed form the gate engine itself
-samples, which the tier-1 suite pins mask-for-mask to the RTL predicate.
+scheduled wave offsets — the same closed form the netlist samples,
+which the tier-1 suite pins mask-for-mask to the behavioral predicate.
 Results are bit-exact netlist outputs; timing is the scheduled model.
 
 Occupancy is sampled once per chip cycle (only while at least one wave is
@@ -50,10 +50,9 @@ from repro.errors import ParameterError, SimulationError
 from repro.observability import OBS
 from repro.observability.occupancy import schedule_busy_mask
 from repro.chip.schedule import datapath_cycles, issue_interval
+from repro.systolic.substrate import CHIP_ENGINES, check_engine, make_mmmc
 
 __all__ = ["MMMOp", "WaveOutcome", "InterleavedArray"]
-
-_ENGINES = ("rtl", "gate")
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class _Flight:
         self.op = op
         self.start = start
         self.done = done
-        self.engine = None  # SystolicArrayRTL for the rtl engine
-        self.value: Optional[int] = None  # pre-computed for the gate engine
+        self.engine = None  # SystolicArrayRTL for the behavioral engine
+        self.value: Optional[int] = None  # pre-computed for the netlist engine
         self.cycles: Optional[int] = None
 
 
@@ -115,18 +114,16 @@ class InterleavedArray:
         *,
         waves: int = 2,
         mode: str = "corrected",
-        engine: str = "rtl",
+        engine: str = "behavioral",
         source: str = "interleaved",
         check_hazards: bool = True,
     ) -> None:
         if waves < 1:
             raise ParameterError(f"waves must be >= 1, got {waves}")
-        if engine not in _ENGINES:
-            raise ParameterError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.l = l
         self.waves = waves
         self.mode = mode
-        self.engine = engine
+        self.engine = check_engine(engine, CHIP_ENGINES)
         self.source = source
         self.check_hazards = check_hazards
         self.top_cell = l + 1 if mode == "corrected" else l
@@ -140,9 +137,9 @@ class InterleavedArray:
         self._slots: List[Optional[_Flight]] = [None] * waves
         self._last_start: List[Optional[int]] = [None, None]
         self._completed: List[WaveOutcome] = []
-        self._rtl_engines: List[Any] = [None] * waves
-        self._gate: Any = None
-        self._gate_masks: Dict[int, int] = {}
+        self._arrays: List[Any] = [None] * waves
+        self._netlist: Any = None
+        self._netlist_masks: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Issue
@@ -176,16 +173,16 @@ class InterleavedArray:
         if w is None:
             return None
         flight = _Flight(op, self.cycle, self.cycle + self.datapath_cycles)
-        if self.engine == "rtl":
-            eng = self._rtl_engines[w]
+        if self.engine == "behavioral":
+            eng = self._arrays[w]
             if eng is None:
                 from repro.systolic.array import SystolicArrayRTL
 
-                eng = self._rtl_engines[w] = SystolicArrayRTL(self.l, mode=self.mode)
+                eng = self._arrays[w] = SystolicArrayRTL(self.l, mode=self.mode)
             eng.load(op.x, op.y, op.n)
             flight.engine = eng
         else:
-            self._gate_issue(flight)
+            self._netlist_issue(flight)
         self._slots[w] = flight
         if self.waves >= 2:
             self._last_start[w % 2] = self.cycle
@@ -194,22 +191,20 @@ class InterleavedArray:
             OBS.count("chip.ops_issued", wave=str(w))
         return w
 
-    def _gate_issue(self, flight: _Flight) -> None:
-        """Gate engine: run the netlist now, schedule its mask stream."""
-        if self._gate is None:
-            from repro.systolic.mmmc_netlist import GateLevelMMMC
-
-            self._gate = GateLevelMMMC(self.l, mode=self.mode, simulator="compiled")
+    def _netlist_issue(self, flight: _Flight) -> None:
+        """Netlist engine: run the netlist now, schedule its mask stream."""
+        if self._netlist is None:
+            self._netlist = make_mmmc("netlist", self.l, self.mode)
         op = flight.op
         occ = OBS.occupancy
         OBS.occupancy = None  # the wrapper samples the merged stream itself
         try:
-            run = self._gate.multiply(op.x, op.y, op.n)
+            run = self._netlist.multiply(op.x, op.y, op.n)
         finally:
             OBS.occupancy = occ
         flight.value = run.result
         flight.cycles = run.cycles
-        masks = self._gate_masks
+        masks = self._netlist_masks
         for tau in range(self.datapath_cycles):
             mask = schedule_busy_mask(tau, self.l, self.top_cell)
             at = flight.start + tau
@@ -220,7 +215,7 @@ class InterleavedArray:
                     f"{prior:#x} and {mask:#x} overlap — issue governor bug"
                 )
             masks[at] = prior | mask
-        self._gate_masks = masks
+        self._netlist_masks = masks
 
     # ------------------------------------------------------------------
     # Clock
@@ -231,7 +226,7 @@ class InterleavedArray:
         active = any(f is not None for f in self._slots)
         self.last_step_active = active
         union = 0
-        if self.engine == "rtl":
+        if self.engine == "behavioral":
             occ_saved = OBS.occupancy
             OBS.occupancy = None  # suppress per-wave "array" sampling
             try:
@@ -253,7 +248,7 @@ class InterleavedArray:
             finally:
                 OBS.occupancy = occ_saved
         else:
-            union = self._gate_masks.pop(c, 0)
+            union = self._netlist_masks.pop(c, 0)
             for w, flight in enumerate(self._slots):
                 if flight is not None and flight.done == c + 1:
                     self._retire(w, flight.value, flight.cycles)

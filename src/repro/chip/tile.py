@@ -41,7 +41,7 @@ class Tile:
         index: int = 0,
         waves: int = 2,
         mode: str = "corrected",
-        engine: str = "rtl",
+        engine: str = "behavioral",
         fifo_depth: int = 8,
         source: Optional[str] = None,
     ) -> None:

@@ -12,7 +12,7 @@ Commands
 ``experiments`` list the experiment registry
 ``census``      gate/FF census + Virtex-E mapping of the MMMC at a given l
 ``fault``       run a fault-injection campaign (alias: ``fault-campaign``;
-                ``--engine rtl|gate|compiled`` picks the substrate)
+                ``--engine`` picks the substrate)
 ``obs``         observability utilities (``obs diff``: snapshot vs baseline
                 and/or ``--require`` constraint expressions)
 ``bench-sim``   compare netlist simulator engines (interpreted/compiled/lanes)
@@ -54,6 +54,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import render_table
+from repro.systolic import substrate
 
 __all__ = ["main", "build_parser"]
 
@@ -147,22 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     mul.add_argument("y", type=lambda s: int(s, 0))
     mul.add_argument("modulus", type=lambda s: int(s, 0))
     mul.add_argument(
-        "--model",
-        choices=("golden", "rtl", "mmmc", "gate"),
-        default="mmmc",
-        help="which implementation tier to run",
+        "--engine",
+        choices=substrate.SUBSTRATES,
+        default="behavioral",
+        help="which substrate runs the product (docs/SIMULATION.md)",
     )
     mul.add_argument(
         "--arch",
         choices=("corrected", "paper"),
         default="corrected",
         help="array architecture (see DESIGN.md findings)",
-    )
-    mul.add_argument(
-        "--engine",
-        choices=("compiled", "interpreted"),
-        default="compiled",
-        help="netlist simulator engine (used by --model gate)",
     )
     _add_observability_flags(mul)
 
@@ -172,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("modulus", type=lambda s: int(s, 0))
     ex.add_argument(
         "--engine",
-        choices=("golden", "rtl", "gate"),
+        choices=substrate.EXPONENTIATOR_ENGINES,
         default="golden",
-        help="golden big-int, behavioral RTL, or compiled gate-level netlist",
+        help="golden big-int, behavioral register model, or compiled gate netlist",
     )
     _add_observability_flags(ex)
 
@@ -189,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exponent (default: random l-bit, seeded)",
     )
-    obs.add_argument("--engine", choices=("golden", "rtl", "gate"), default="rtl")
+    obs.add_argument(
+        "--engine",
+        choices=substrate.EXPONENTIATOR_ENGINES,
+        default="behavioral",
+        help="netlist also populates the hdl.* metrics",
+    )
     obs.add_argument("--arch", choices=("corrected", "paper"), default="corrected")
     obs.add_argument("--seed", type=int, default=0)
-    obs.add_argument(
-        "--gate",
-        action="store_true",
-        help="also run one gate-level multiplication (populates hdl.* metrics)",
-    )
     obs.add_argument(
         "--json",
         action="store_true",
@@ -521,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--seed", type=int, default=0)
     flt.add_argument(
         "--engine",
-        choices=("rtl", "gate", "compiled"),
-        default="rtl",
-        help="simulation substrate: behavioral RTL, interpreted netlist, "
-        "or the compiled bit-sliced engine",
+        choices=substrate.HARDWARE_ENGINES,
+        default="behavioral",
+        help="simulation substrate: behavioral register model, interpreted "
+        "netlist, or the netlist on the compiled bit-sliced engine",
     )
     flt.add_argument(
         "--arch", choices=("corrected", "paper"), default="corrected"
@@ -599,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests",
         type=int,
         default=48,
-        help="serving-stage request count over the gate backend; the mix "
+        help="serving-stage request count over the rtl backend; the mix "
         "repeats 6 distinct (modulus, exponent) pairs, so 48 requests "
         "yield lane groups of 8 (0 = skip the serving stage)",
     )
@@ -658,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chip.add_argument(
         "--engine",
-        choices=("rtl", "gate"),
-        default="rtl",
-        help="per-tile array substrate (gate caps l at 10)",
+        choices=substrate.CHIP_ENGINES,
+        default="behavioral",
+        help="per-tile array substrate",
     )
     chip.add_argument(
         "--arch", choices=("corrected", "paper"), default="corrected"
@@ -781,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
     prb.add_argument("--l", type=int, default=8, help="operand bit length")
     prb.add_argument(
         "--engine",
-        choices=("interpreted", "compiled", "rtl"),
-        default="interpreted",
+        choices=substrate.HARDWARE_ENGINES,
+        default="netlist-interpreted",
         help="simulation substrate carrying the probes",
     )
     prb.add_argument(
@@ -904,24 +899,10 @@ def _cmd_multiply(args, out) -> int:
     golden = montgomery_no_subtraction(ctx, args.x, args.y)
     registry, tracer = _observation(args)
     with observe(metrics=registry, tracer=tracer):
-        if args.model == "golden":
+        if args.engine == "golden":
             result, cycles = golden, None
-        elif args.model == "rtl":
-            from repro.systolic.array import SystolicArrayRTL
-
-            r = SystolicArrayRTL(ctx.l, mode=args.arch).run_multiplication(
-                args.x, args.y, args.modulus
-            )
-            result, cycles = r.value, r.total_cycles
-        elif args.model == "mmmc":
-            from repro.systolic.mmmc import MMMC
-
-            r = MMMC(ctx.l, mode=args.arch).multiply(args.x, args.y, args.modulus)
-            result, cycles = r.result, r.cycles
         else:
-            from repro.systolic.mmmc_netlist import GateLevelMMMC
-
-            r = GateLevelMMMC(ctx.l, args.arch, simulator=args.engine).multiply(
+            r = substrate.make_mmmc(args.engine, ctx.l, args.arch).multiply(
                 args.x, args.y, args.modulus
             )
             result, cycles = r.result, r.cycles
@@ -976,12 +957,6 @@ def _cmd_observe(args, out) -> int:
     with observe(metrics=registry, tracer=tracer):
         exp = ModularExponentiator(ctx, engine=args.engine, mode=args.arch)
         run = exp.exponentiate(message, exponent)
-        if args.gate:
-            from repro.systolic.mmmc_netlist import GateLevelMMMC
-
-            GateLevelMMMC(ctx.l, args.arch).multiply(
-                message, message, ctx.modulus
-            )
     out.write(
         f"observed: {message}^{exponent} mod {n} = {run.result}  "
         f"({run.num_multiplications} multiplications, {run.cycles} cycles, "
@@ -1424,10 +1399,10 @@ def _cmd_bench_sim(args, out) -> int:
 
 
 def _profile_serving_stage(args, rng) -> None:
-    """The serving leg of ``repro profile``: mixed traffic over the gate backend.
+    """The serving leg of ``repro profile``: mixed traffic over the rtl backend.
 
-    Three moduli x two exponents at l=10 (the gate backend's width
-    ceiling) so coalescing, lane grouping and lane fill are all exercised
+    Three moduli x two exponents at l=10 (small enough to stay
+    interactive) so coalescing, lane grouping and lane fill are all exercised
     with a deliberately imperfect mix; verification is sampled so the
     verify-overhead attribution has data.
     """
@@ -1448,10 +1423,10 @@ def _profile_serving_stage(args, rng) -> None:
                 request_id=f"profile-{i}",
             )
         )
-    # Inline: the profiler attributes the gate backend's hook sites from
+    # Inline: the profiler attributes the rtl backend's hook sites from
     # the ambient session, which only the caller's thread feeds.
     with ModExpService(
-        backend="gate",
+        backend="rtl",
         worker_kind="inline",
         verify=VerifyPolicy(mode="sampled", sample_rate=0.5),
     ) as service:
@@ -1511,7 +1486,7 @@ def _cmd_profile(args, out) -> int:
     message = rng.randrange(ctx.modulus)
     exponent = rng.randrange(1 << 4, 1 << 5)
     with observe(metrics=registry, tracer=tracer, occupancy=occupancy):
-        ModularExponentiator(ctx, engine="rtl", mode=args.arch).exponentiate(
+        ModularExponentiator(ctx, engine="behavioral", mode=args.arch).exponentiate(
             message, exponent
         )
         # Stage 2: serving utilization — lane fill, queue wait, verify.
@@ -1982,10 +1957,10 @@ def _cmd_probe(args, out) -> int:
         except ValueError as exc:
             out.write(f"repro probe: {exc}\n")
             return 2
-        if args.engine == "rtl":
+        if args.engine == "behavioral":
             out.write(
                 "repro probe: --flip needs a netlist engine "
-                "(interpreted or compiled)\n"
+                "(netlist-interpreted or netlist)\n"
             )
             return 2
 
@@ -1996,9 +1971,9 @@ def _cmd_probe(args, out) -> int:
         triggers=triggers,
         fire_on_fault=True,
     )
-    if args.engine == "rtl":
+    if args.engine == "behavioral":
         # The behavioral array: attach a recorder over its register file
-        # directly (``done`` is not in the RTL probe set — trigger on
+        # directly (``done`` is not in the array's probe set — trigger on
         # ``cycle``/register signals instead, or the run-end flush).
         from repro.hdl.probes import ProbeSet
         from repro.systolic.array import SystolicArrayRTL
@@ -2018,10 +1993,8 @@ def _cmd_probe(args, out) -> int:
             rec.notify_fault(arr.cycle - 1, "probe run ended (no trigger)")
         hub.emit(rec, cycles=cycles)
     else:
-        from repro.systolic.mmmc_netlist import GateLevelMMMC
-
         with armed(hub):
-            sim = GateLevelMMMC(args.l, mode=args.arch, simulator=args.engine)
+            sim = substrate.make_mmmc(args.engine, args.l, args.arch)
             if flip is not None:
                 sim.schedule_fault(flip)
             rec_run = sim.multiply(x, y, n)

@@ -19,7 +19,7 @@ manager::
 
     registry, tracer = MetricsRegistry(), SpanTracer(detail="state")
     with observe(metrics=registry, tracer=tracer):
-        ModularExponentiator(ctx, engine="rtl").exponentiate(m, e)
+        ModularExponentiator(ctx, engine="behavioral").exponentiate(m, e)
     tracer.write("out.json")          # open in Perfetto
     print(registry.render_text())
 

@@ -21,8 +21,9 @@ use the same kind of keyed hash (:func:`hashed_unit`): deterministic
 per key in every process, whatever ``PYTHONHASHSEED`` says.
 
 For the simulator backends this is cheap insurance: their wall cost per
-cycle is 200–3000× the integer path (see ``wall_weight`` in
-:mod:`repro.serving.backends`), so a golden recompute adds well under 1%.
+cycle is 200× (``rtl``) and 400× (``chip``) the integer path (see
+``wall_weight`` in :mod:`repro.serving.backends`), so a golden recompute
+adds well under 1%.
 For the integer backend the recompute doubles the work, which is what
 the ``sampled`` policy is for.
 

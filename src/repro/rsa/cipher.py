@@ -20,12 +20,12 @@ paper's scope (it evaluates raw modular exponentiation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from repro.errors import ParameterError
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.rsa.keygen import RSAKeyPair
 from repro.systolic.exponentiator import ModularExponentiator
+from repro.systolic.substrate import CIPHER_ENGINES, check_engine
 
 __all__ = ["RSACipher", "RSAOperation"]
 
@@ -47,14 +47,16 @@ class RSACipher:
     key:
         The key pair (public operations need only modulus/E).
     engine:
-        ``"golden"`` (default; big-int multiplications with exact RTL
-        cycle accounting — practical at RSA sizes) or ``"rtl"`` (full
-        cycle-accurate hardware model; practical for small/demo keys).
+        One of :data:`~repro.systolic.substrate.CIPHER_ENGINES`:
+        ``"golden"`` (default; big-int multiplications with exact hardware
+        cycle accounting — practical at RSA sizes) or ``"behavioral"``
+        (full cycle-accurate hardware model; practical for small/demo
+        keys).
     """
 
-    def __init__(self, key: RSAKeyPair, engine: Literal["rtl", "golden"] = "golden"):
+    def __init__(self, key: RSAKeyPair, engine: str = "golden"):
         self.key = key
-        self.engine = engine
+        self.engine = check_engine(engine, CIPHER_ENGINES)
         # The cached constants are shared with every other consumer of the
         # same modulus (notably the serving layer's batch scheduler).
         self._exp = ModularExponentiator(

@@ -1,20 +1,20 @@
 """The backend registry: every modexp engine behind one protocol.
 
-The repository grew five ways to compute ``base^exponent mod N`` — the
+The serving layer computes ``base^exponent mod N`` six ways — the
 pure-integer Algorithm 2 fast path, CRT-RSA, the cycle-accurate systolic
-RTL model, word-based high-radix software, and the Tenca–Koç word-serial
-model — plus the gate-level netlist twin.  The serving layer treats them
-as interchangeable :class:`ModExpBackend` implementations, each declaring
-:class:`BackendCapabilities` (operand-width ceiling, whether its cycle
-counts are measured or modelled, whether it is safe to ship to process
-workers) and a cost model the batch scheduler orders dispatch by.
+MMMC (its gate-level netlist on compiled kernels), word-based high-radix
+software, the Tenca–Koç word-serial model and the multi-array chip — and
+treats them as interchangeable :class:`ModExpBackend` implementations,
+each declaring :class:`BackendCapabilities` (operand-width ceiling,
+whether its cycle counts are measured or modelled, whether it is safe to
+ship to process workers) and a cost model the batch scheduler orders
+dispatch by.
 
 Every backend that issues Montgomery products runs the one Algorithm 3
 chain, :func:`~repro.montgomery.exponent.modexp_chain`, with its own
-multiplier.  The two netlist names, ``rtl`` and ``gate``, differ only in
-their registered capabilities: both run every request — lone, lane group
-or chaos register fault — through one routine,
-:meth:`_NetlistBackend._exponentiate`.
+multiplier.  The netlist backend, ``rtl``, runs every request — lone,
+lane group or chaos register fault — through one routine,
+:meth:`RTLBackend._exponentiate`.
 
 All backends receive each request's pre-computed
 :class:`~repro.montgomery.params.MontgomeryContext`, derived once per
@@ -53,7 +53,6 @@ __all__ = [
     "IntegerBackend",
     "CRTBackend",
     "RTLBackend",
-    "GateLevelBackend",
     "HighRadixBackend",
     "ScalableBackend",
 ]
@@ -71,7 +70,7 @@ class BackendCapabilities:
         Operand-width ceiling (``None`` = unbounded).  The simulators are
         capped where a single exponentiation stays interactive.
     cycle_accurate:
-        True when reported cycles are measured (RTL/gate) or proven equal
+        True when reported cycles are measured (netlist, chip) or proven equal
         to measured (the golden accounting); False when modelled.
     simulator:
         True for backends that step a hardware model cycle by cycle.
@@ -288,14 +287,17 @@ class CRTBackend(ModExpBackend):
         return BackendResult(m_q + h * q, cycles)
 
 
-class _NetlistBackend(ModExpBackend):
-    """The gate-level MMMC netlist backend: one routine for every request.
+class RTLBackend(ModExpBackend):
+    """Cycle-accurate systolic MMMC: the gate-level netlist, one routine.
 
-    Each width ``l`` gets one elaborated :class:`GateLevelMMMC` on the
-    compiled kernel engine, reused across requests.  Every lane group —
-    a lone request, a same-exponent group of up to ``capabilities.lanes``
-    requests and the chaos register-fault path alike — sweeps on a lane
-    word of exactly its size: the instance is rebound to ``k`` lanes
+    The netlist twin on compiled kernels, which the equivalence suite
+    proves cycle- and bit-identical to the behavioral
+    :class:`~repro.systolic.mmmc.MMMC`.  Each width ``l`` gets one
+    elaborated :class:`GateLevelMMMC`, reused across requests.  Every lane
+    group — a lone request, a same-exponent group of up to
+    ``capabilities.lanes`` requests of one width under any mix of moduli,
+    and the chaos register-fault path alike — sweeps on a lane word of
+    exactly its size: the instance is rebound to ``k`` lanes
     (:meth:`~repro.systolic.mmmc_netlist.GateLevelMMMC.rebind`, one kernel
     factory call, no recompile), so no padding lane is ever evaluated.
     :meth:`_exponentiate` runs the Algorithm 3 chain
@@ -309,6 +311,16 @@ class _NetlistBackend(ModExpBackend):
     once per group.  The simulators are stateful, so a lock keeps
     concurrent callers from interleaving multiplications on one instance.
     """
+
+    name = "rtl"
+    capabilities = BackendCapabilities(
+        description="cycle-accurate MMMC on compiled gate-level kernels",
+        max_bits=64,
+        cycle_accurate=True,
+        simulator=True,
+        lanes=256,
+    )
+    wall_weight = 200.0
 
     def __init__(self) -> None:
         import threading
@@ -362,15 +374,15 @@ class _NetlistBackend(ModExpBackend):
         # Every lane is live: the word is exactly the group (a lone
         # request sweeps one lane and records no lane-fill samples).
         k, width = len(requests), l + 1
-        gate = self._mmmc(l)
-        gate.rebind(k)
+        netlist = self._mmmc(l)
+        netlist.rebind(k)
         bases = [r.base for r in requests]
         r2s = [ctx.r2_mod_n for ctx in contexts]
         # The chain's entry operands are validated once, per lane; every
         # later operand is a product that passed the Walter check below,
         # i.e. the same [0, 2N) predicate.
         for x, y, n in zip(bases, r2s, ns):
-            gate.validate(x, y, n)
+            netlist.validate(x, y, n)
 
         n_word = pack_slots(ns, width)
         two_n = n_word << k  # every lane's N one slot up: 2N
@@ -381,9 +393,9 @@ class _NetlistBackend(ModExpBackend):
         def mont(kind: str, x: int, y: int) -> int:
             nonlocal cycles, issued
             if fault is not None and issued == fault[0]:
-                gate.schedule_fault(fault[1])
+                netlist.schedule_fault(fault[1])
             issued += 1
-            t, took = gate.multiply_slots(x, y, n_word, k)
+            t, took = netlist.multiply_slots(x, y, n_word, k)
             cycles += took  # lock-step: every lane pays the same
             bad = live & ~slots_below(t, two_n, width, k, live)
             if bad:
@@ -445,51 +457,6 @@ class _NetlistBackend(ModExpBackend):
             for i, out in zip(chunk, outs):
                 results[i] = out
         return results
-
-
-class RTLBackend(_NetlistBackend):
-    """Cycle-accurate systolic MMMC model (the paper's datapath).
-
-    The gate-level netlist twin on compiled kernels, which the equivalence
-    suite proves cycle- and bit-identical to the behavioral
-    :class:`~repro.systolic.mmmc.MMMC`, run through the one netlist
-    routine (:meth:`_NetlistBackend._exponentiate`).  Same-exponent
-    groups of up to 256 requests of one width, under any mix of moduli,
-    run as one bit-sliced sweep per multiplication on a lane word of
-    exactly the group's size, rebound on the width's one netlist instance.
-    """
-
-    name = "rtl"
-    capabilities = BackendCapabilities(
-        description="cycle-accurate MMMC on compiled gate-level kernels",
-        max_bits=64,
-        cycle_accurate=True,
-        simulator=True,
-        lanes=256,
-    )
-    wall_weight = 200.0
-
-
-class GateLevelBackend(_NetlistBackend):
-    """Gate-level netlist simulation of the MMMC, every gate evaluated.
-
-    The same netlist and routine as ``rtl``, registered as the most
-    faithful tier — every AND gate of every cell is evaluated — so the
-    width ceiling stays tiny and the scheduling weight high.
-    """
-
-    name = "gate"
-    capabilities = BackendCapabilities(
-        description="gate-level MMMC netlist co-simulation, compiled kernels",
-        max_bits=10,
-        cycle_accurate=True,
-        simulator=True,
-        lanes=256,
-    )
-    # Scheduling weight per modelled cycle.  The compiled MMMC kernel runs
-    # 26-37x faster than the interpreted simulator single-lane
-    # (cell-sliced), but still far above the big-int paths.
-    wall_weight = 3000.0
 
 
 class HighRadixBackend(ModExpBackend):
@@ -651,7 +618,6 @@ def default_registry() -> BackendRegistry:
         IntegerBackend(),
         CRTBackend(),
         RTLBackend(),
-        GateLevelBackend(),
         HighRadixBackend(),
         ScalableBackend(),
         ChipBackend(),

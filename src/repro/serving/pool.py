@@ -276,7 +276,7 @@ def execute_batch(
     caps = backend.capabilities
     if caps.lanes > 1 and chaos is None:
         # A shard frame may carry several batch keys; a lane group never
-        # spans two (one width for rtl/gate, one (modulus, l) for the chip).
+        # spans two (one width for rtl, one (modulus, l) for the chip).
         by_key: Dict[BatchKey, List[int]] = {}
         for pos in live:
             by_key.setdefault(batch_key(caps, requests[pos]), []).append(pos)

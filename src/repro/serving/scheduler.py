@@ -13,7 +13,7 @@ the cache at all.
 The batch key is the one decision of how far a batch may reach.  Most
 backends take ``(modulus, l)``, so a batch holds one modulus.  The
 lock-step lane backends (``capabilities.lanes > 1`` without
-``mixed_exponent_lanes``: the compiled ``rtl`` and ``gate`` backends)
+``mixed_exponent_lanes``: the compiled ``rtl`` backend)
 take the operand width: their bit-sliced sweep loads ``N`` per lane, the
 way the paper's MMMC loads ``N`` per multiplication, so one sweep serves
 every modulus of one width.  The shard ring homes batches by the same

@@ -11,10 +11,10 @@ coalesced batches at a time.  Four pieces:
   shard's caches stay hot for its home keys, the way the quad-core RSA
   processor in the related work gives each core its own key material.
   For most backends the key is ``(modulus, l)``, homed at
-  :func:`placement_key`.  The lock-step lane backends (``rtl``,
-  ``gate``) batch by operand width, so each width has one home shard:
-  its compiled kernel is built once there and its lane sweeps serve
-  every modulus of that width.  Virtual nodes smooth the key
+  :func:`placement_key`.  The lock-step lane backend (``rtl``) batches
+  by operand width, so each width has one home shard: its compiled
+  kernel is built once there and its lane sweeps serve every modulus of
+  that width.  Virtual nodes smooth the key
   distribution; dead shards are skipped on the ring (their key ranges
   reassign to the next alive shard) and reclaim their ranges when
   respawned.

@@ -17,6 +17,9 @@ Layers (bottom-up, matching Section 4 of the paper):
 * :mod:`repro.systolic.exponentiator` — the modular exponentiator of
   Section 4.5 built on the MMMC.
 * :mod:`repro.systolic.timing` — the paper's closed-form cycle formulas.
+* :mod:`repro.systolic.substrate` — the engine names (``golden``,
+  ``behavioral``, ``netlist``, ``netlist-interpreted``) every API and
+  subcommand checks its ``engine`` against.
 """
 
 from repro.systolic.cells import (

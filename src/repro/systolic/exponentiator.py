@@ -3,20 +3,21 @@
 :class:`ModularExponentiator` realizes Algorithm 3 by issuing Montgomery
 multiplications to an engine:
 
-* ``engine="rtl"`` — every multiplication runs through the cycle-accurate
-  :class:`~repro.systolic.mmmc.MMMC`; total cycles are measured.
-* ``engine="gate"`` — every multiplication runs through the gate-level
+* ``engine="behavioral"`` — every multiplication runs through the
+  cycle-accurate :class:`~repro.systolic.mmmc.MMMC`; total cycles are
+  measured.
+* ``engine="netlist"`` — every multiplication runs through the gate-level
   netlist twin (:class:`~repro.systolic.mmmc_netlist.GateLevelMMMC`) on
   the compiled kernel engine; cycles are measured at the netlist level
-  and provably equal the behavioral RTL count.
+  and provably equal the behavioral count.
 * ``engine="golden"`` — multiplications use the closed-form Algorithm 2
   product ``(x·y + M·N) / R`` of
   :func:`~repro.montgomery.algorithms.montgomery_no_subtraction` (a few
   big-integer operations, bit-identical to the bit-serial loop that
   :func:`~repro.montgomery.algorithms.montgomery_trace` keeps as the
-  digit-by-digit reference), while cycle accounting uses the RTL cost
-  (``3l+4`` per operation, ``3l+5`` corrected, which the test suite
-  proves identical to the measured RTL count).  This makes RSA-scale
+  digit-by-digit reference), while cycle accounting uses the hardware
+  cost (``3l+4`` per operation, ``3l+5`` corrected, which the test suite
+  proves identical to the measured behavioral count).  This makes RSA-scale
   exponentiation fast without changing any reported number.
 
 The operation sequence is exactly the paper's: pre-multiplication by
@@ -52,7 +53,7 @@ from repro.montgomery.algorithms import check_radix2_operands, montgomery_no_sub
 from repro.montgomery.exponent import chain_kinds, modexp_chain, run_chain
 from repro.montgomery.params import MontgomeryContext
 from repro.observability import OBS
-from repro.systolic.mmmc import MMMC
+from repro.systolic.substrate import EXPONENTIATOR_ENGINES, check_engine, make_mmmc
 from repro.systolic.timing import (
     exponentiation_cycles_measured,
     mmm_cycles,
@@ -116,44 +117,38 @@ class ModularExponentiator:
     ctx:
         Montgomery parameter context (fixes N, l, R = 2^(l+2), R² mod N).
     engine:
-        ``"rtl"`` (cycle-accurate behavioral hardware model), ``"gate"``
+        One of :data:`~repro.systolic.substrate.EXPONENTIATOR_ENGINES`:
+        ``"behavioral"`` (cycle-accurate register model), ``"netlist"``
         (gate-level netlist twin on compiled kernels) or ``"golden"``
-        (big-integer arithmetic with the RTL cycle accounting).
+        (big-integer arithmetic with the hardware cycle accounting).
     multiplier:
         Optional pre-built hardware multiplier (a behavioral ``MMMC``, a
         ``GateLevelMMMC`` or anything with their ``multiply(x, y, n)``) to
         use instead of constructing one, e.g. an instrumented one in a
         test; it must match ``ctx.l`` and ``mode``.  Only valid with a
-        hardware engine (``"rtl"`` / ``"gate"``).
+        hardware engine (``"behavioral"`` / ``"netlist"``).
     """
 
     def __init__(
         self,
         ctx: MontgomeryContext,
-        engine: str = "rtl",
+        engine: str = "behavioral",
         *,
         mode: str = "corrected",
         multiplier=None,
     ) -> None:
-        if engine not in ("rtl", "gate", "golden"):
-            raise ParameterError(f"unknown engine {engine!r}")
         self.ctx = ctx
-        self.engine = engine
+        self.engine = check_engine(engine, EXPONENTIATOR_ENGINES)
         self.mode = mode
         if engine == "golden":
             if multiplier is not None:
                 raise ParameterError(
-                    "multiplier= requires a hardware engine ('rtl' or 'gate')"
+                    "multiplier= requires a hardware engine "
+                    "('behavioral' or 'netlist')"
                 )
-            self.mmmc = None
-        elif multiplier is not None:
-            self.mmmc = multiplier
-        elif engine == "gate":
-            from repro.systolic.mmmc_netlist import GateLevelMMMC
-
-            self.mmmc = GateLevelMMMC(ctx.l, mode=mode, simulator="compiled")
-        else:
-            self.mmmc = MMMC(ctx.l, mode=mode)
+        elif multiplier is None:
+            multiplier = make_mmmc(engine, ctx.l, mode)
+        self.mmmc = multiplier
         # Modelled cycles of one multiplication in this mode.
         self._op_cycles = (
             mmm_cycles_corrected(ctx.l) if mode == "corrected" else mmm_cycles(ctx.l)
@@ -253,7 +248,7 @@ class ModularExponentiator:
         call, counted.  Returns what ``drive`` returns and the number of
         products.  The observed path wraps the same step in one span and
         the ``exponentiator.operations`` / ``operation_cycles`` metrics
-        per product; the golden engine skips the RTL, so the trace clock
+        per product; the golden engine skips the hardware, so the trace clock
         advances by the modelled cost in one jump.
         """
         ctx = self.ctx
@@ -290,8 +285,8 @@ class ModularExponentiator:
         """Windowed exponentiation through the same engine.
 
         Builds the :mod:`repro.montgomery.windowed` schedule and executes
-        it with this exponentiator's multiplier (cycle-accurate when the
-        engine is ``"rtl"``), trading a precomputed power table for fewer
+        it with this exponentiator's multiplier (cycle-accurate on a
+        hardware engine), trading a precomputed power table for fewer
         multiplier passes; see the window ablation benchmark.  The cycle
         total is checked against the per-operation cost times the number
         of multiplier passes.

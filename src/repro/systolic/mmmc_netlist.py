@@ -186,9 +186,10 @@ class GateLevelMMMC:
     """Gate-level twin of :class:`~repro.systolic.mmmc.MMMC`.
 
     Drives START/operands through the netlist simulator and waits for
-    DONE, measuring the latency in clock cycles.  Used by the ``rtl`` and
-    ``gate`` serving backends, the equivalence tests (gate MMMC ≡
-    behavioral MMMC ≡ golden) and the waveform example.
+    DONE, measuring the latency in clock cycles.  The ``netlist`` and
+    ``netlist-interpreted`` engines (:mod:`repro.systolic.substrate`),
+    the ``rtl`` serving backend, the equivalence tests (gate MMMC ≡
+    behavioral MMMC ≡ golden) and the waveform example run it.
     """
 
     def __init__(

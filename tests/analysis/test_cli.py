@@ -21,12 +21,13 @@ class TestMultiply:
         assert "cycles: 29" in text
 
     def test_gate_model(self):
-        code, text = run_cli("multiply", "3", "5", "11", "--model", "gate")
-        assert code == 0
-        assert "golden agrees: True" in text
+        for engine in ("netlist", "netlist-interpreted"):
+            code, text = run_cli("multiply", "3", "5", "11", "--engine", engine)
+            assert code == 0
+            assert "golden agrees: True" in text
 
     def test_golden_model_no_cycles(self):
-        code, text = run_cli("multiply", "3", "5", "11", "--model", "golden")
+        code, text = run_cli("multiply", "3", "5", "11", "--engine", "golden")
         assert code == 0
         assert "cycles" not in text
 
@@ -36,7 +37,7 @@ class TestMultiply:
 
     def test_paper_arch(self):
         code, text = run_cli(
-            "multiply", "10", "20", "139", "--model", "rtl", "--arch", "paper"
+            "multiply", "10", "20", "139", "--engine", "behavioral", "--arch", "paper"
         )
         assert code == 0
         assert "cycles: 28" in text  # 3l+4 for l=8
@@ -49,7 +50,7 @@ class TestExponentiate:
         assert f"= {pow(55, 123, 197)}" in text
 
     def test_rtl(self):
-        code, text = run_cli("exponentiate", "7", "5", "197", "--engine", "rtl")
+        code, text = run_cli("exponentiate", "7", "5", "197", "--engine", "behavioral")
         assert code == 0
         assert "multiplications" in text
 

@@ -105,14 +105,18 @@ class TestGateLevelEngines:
     other on every injected fault's outcome."""
 
     def test_gate_campaign_runs_and_reuses_one_netlist(self):
-        outs = fault_campaign(L, X, Y, N, samples=20, seed=4, engine="gate")
+        outs = fault_campaign(
+            L, X, Y, N, samples=20, seed=4, engine="netlist-interpreted"
+        )
         assert len(outs) == 20
         s = campaign_summary(outs)
         assert 0.0 <= s["ALL"]["corruption_rate"] <= 1.0
 
     def test_compiled_and_interpreted_agree_exactly(self):
-        a = fault_campaign(L, X, Y, N, samples=25, seed=6, engine="gate")
-        b = fault_campaign(L, X, Y, N, samples=25, seed=6, engine="compiled")
+        a = fault_campaign(
+            L, X, Y, N, samples=25, seed=6, engine="netlist-interpreted"
+        )
+        b = fault_campaign(L, X, Y, N, samples=25, seed=6, engine="netlist")
         assert [(o.site, o.observed, o.detected) for o in a] == [
             (o.site, o.observed, o.detected) for o in b
         ]
@@ -120,7 +124,7 @@ class TestGateLevelEngines:
     def test_gate_fault_corrupts_known_live_site(self):
         out = inject_fault(
             L, X, Y, N, FaultSite(cycle=3 * L + 3, register="result", index=0),
-            engine="gate",
+            engine="netlist-interpreted",
         )
         assert out.corrupted
 
@@ -131,7 +135,7 @@ class TestGateLevelEngines:
 
         mmmc = GateLevelMMMC(L, mode="corrected", simulator="interpreted")
         site = FaultSite(cycle=5, register="t", index=2)
-        faulty = inject_fault(L, X, Y, N, site, engine="gate", _mmmc=mmmc)
+        faulty = inject_fault(L, X, Y, N, site, engine="netlist-interpreted", _mmmc=mmmc)
         clean = mmmc.multiply(X, Y, N).result
         assert clean == faulty.fault_free
 
@@ -139,7 +143,7 @@ class TestGateLevelEngines:
         with pytest.raises(ParameterError):
             inject_fault(
                 L, X, Y, N, FaultSite(cycle=3 * L + 6, register="t", index=0),
-                engine="gate",
+                engine="netlist-interpreted",
             )
 
     def test_unknown_engine_rejected(self):
@@ -156,6 +160,6 @@ class TestGateLevelEngines:
         corruption rates land in the same broad band."""
         rtl = campaign_summary(fault_campaign(L, X, Y, N, samples=120, seed=8))
         gate = campaign_summary(
-            fault_campaign(L, X, Y, N, samples=120, seed=8, engine="gate")
+            fault_campaign(L, X, Y, N, samples=120, seed=8, engine="netlist-interpreted")
         )
         assert abs(rtl["ALL"]["corruption_rate"] - gate["ALL"]["corruption_rate"]) < 0.25

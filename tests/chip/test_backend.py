@@ -37,7 +37,7 @@ class TestRegistration:
 
     def test_engine_screen(self):
         with pytest.raises(ParameterError):
-            ChipBackend(engine="compiled")
+            ChipBackend(engine="netlist-interpreted")
 
 
 class TestExecution:

@@ -101,7 +101,7 @@ class TestGateDifferential:
         ops, n = _ops(l, count, seed=7)
         gate = GateLevelMMMC(l, mode="corrected")
         expected = {op.tag: gate.multiply(op.x, op.y, op.n).result for op in ops}
-        outcomes = InterleavedArray(l, waves=2, engine="gate").run(ops)
+        outcomes = InterleavedArray(l, waves=2, engine="netlist").run(ops)
         assert len(outcomes) == count
         for o in outcomes:
             assert o.value == expected[o.op.tag]
@@ -112,20 +112,20 @@ class TestGateDifferential:
         rtl = {o.op.tag: o.value for o in InterleavedArray(l, waves=2).run(ops)}
         gat = {
             o.op.tag: o.value
-            for o in InterleavedArray(l, waves=2, engine="gate").run(ops)
+            for o in InterleavedArray(l, waves=2, engine="netlist").run(ops)
         }
         assert rtl == gat
 
     def test_scheduled_mask_overlap_raises(self):
         # White box: two flights forced onto the same start cycle must trip
-        # the gate engine's scheduled-mask hazard check — the governor is
+        # the netlist engine's scheduled-mask hazard check — the governor is
         # the only thing standing between the model and an unbuildable
         # machine, and the check proves it is load-bearing.
-        arr = InterleavedArray(8, waves=2, engine="gate")
+        arr = InterleavedArray(8, waves=2, engine="netlist")
         ops, _ = _ops(8, 2)
-        arr._gate_issue(_Flight(ops[0], 0, arr.datapath_cycles))
+        arr._netlist_issue(_Flight(ops[0], 0, arr.datapath_cycles))
         with pytest.raises(SimulationError, match="wave hazard"):
-            arr._gate_issue(_Flight(ops[1], 0, arr.datapath_cycles))
+            arr._netlist_issue(_Flight(ops[1], 0, arr.datapath_cycles))
 
 
 class TestRunDriver:

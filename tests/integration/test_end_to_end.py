@@ -18,7 +18,7 @@ class TestRSAOnHardwareModel:
         """Keygen -> encrypt -> decrypt, every multiplication through the
         cycle-accurate circuit (small key so the RTL stays fast)."""
         key = generate_keypair(20, random.Random(77))
-        cipher = RSACipher(key, engine="rtl")
+        cipher = RSACipher(key, engine="behavioral")
         msg = 0x5A5A % key.modulus
         ct = cipher.encrypt(msg)
         pt = cipher.decrypt(ct.value)
@@ -55,7 +55,7 @@ class TestECDHOnHardwareModel:
 
 
 class TestEngineConsistency:
-    @pytest.mark.parametrize("engine", ["rtl", "golden"])
+    @pytest.mark.parametrize("engine", ["behavioral", "golden"])
     def test_exponentiator_engines_identical(self, engine):
         ctx = MontgomeryContext(251)
         exp = ModularExponentiator(ctx, engine=engine)
@@ -67,11 +67,11 @@ class TestEngineConsistency:
         """The two architectures compute the same function where both are
         defined; only latency differs."""
         ctx = MontgomeryContext(139)  # safe for paper mode
-        r_paper = ModularExponentiator(ctx, engine="rtl", mode="paper").exponentiate(
+        r_paper = ModularExponentiator(ctx, engine="behavioral", mode="paper").exponentiate(
             77, 29
         )
         r_corr = ModularExponentiator(
-            ctx, engine="rtl", mode="corrected"
+            ctx, engine="behavioral", mode="corrected"
         ).exponentiate(77, 29)
         assert r_paper.result == r_corr.result
         assert r_corr.cycles == r_paper.cycles + r_paper.num_multiplications

@@ -25,7 +25,7 @@ from repro.serving.service import ModExpService
 from repro.serving.wire import result_to_dict
 from repro.systolic.mmmc_netlist import GateLevelMMMC
 
-N10 = 1021  # odd 10-bit modulus (the gate backend caps at 10 bits)
+N10 = 1021  # odd 10-bit modulus (small enough for netlist chaos runs)
 
 
 def _reqs(count, exponent=17):
@@ -139,7 +139,7 @@ class TestServingPostMortem:
             svc.close()
 
     def test_compiled_engine_bundle_replays_divergence(self, tmp_path):
-        results = self._serve("gate", tmp_path)
+        results = self._serve("rtl", tmp_path)
         # zero silent corruptions: every delivered value is correct
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [
@@ -150,7 +150,7 @@ class TestServingPostMortem:
         gate = GateLevelMMMC(10, simulator="compiled")
         for bundle in bundles:
             assert bundle.meta["engine"] == "compiled"
-            assert bundle.meta["backend"] == "gate"
+            assert bundle.meta["backend"] == "rtl"
             assert str(bundle.meta["request_id"]) in {"r4", "r13", "r25"}
             _assert_diverges_at_trigger(bundle, gate)
             # the VCD view carries the same story as the JSON window
@@ -161,7 +161,7 @@ class TestServingPostMortem:
             assert f"trigger_cycle={bundle.window.trigger_cycle}" in note
 
     def test_interpreted_engine_bundle_replays_divergence(self, tmp_path):
-        backend = default_registry().get("gate")
+        backend = default_registry().get("rtl")
         # Under chaos every request runs alone, on a one-lane word of the
         # width's instance; seed the backend's instance cache with an
         # interpreted one (the netlist cycle loop runs on either simulator).
@@ -222,7 +222,7 @@ class TestCompiledLaneExtraction:
 class TestBundleAttachment:
     def test_verify_failure_attaches_bundle_path(self, tmp_path):
         svc = ModExpService(
-            backend="gate",
+            backend="rtl",
             workers=1,
             worker_kind="inline",
             chaos=ChaosConfig(

@@ -45,9 +45,12 @@ class TestObserveCommand:
         assert '"mmmc.multiplications"' in out
 
     def test_gate_flag_populates_hdl_metrics(self):
-        code, out = _cli("observe", "--l", "6", "--gate")
+        """The netlist engine runs the exponentiation through the gate
+        netlist, so the snapshot carries the ``hdl.*`` series."""
+        code, out = _cli("observe", "--l", "6", "--engine", "netlist")
         assert code == 0
         assert "hdl.gate_evals" in out
+        assert "hdl.cycles" in out
 
     def test_observe_can_trace(self, tmp_path):
         path = str(tmp_path / "t.json")
@@ -62,7 +65,7 @@ class TestMultiplyFlags:
         path = str(tmp_path / "t.json")
         code, out = _cli(
             "multiply", "300", "150", "197",
-            "--model", "mmmc", "--arch", "paper",
+            "--engine", "behavioral", "--arch", "paper",
             "--trace", path, "--metrics",
         )
         assert code == 0
@@ -74,7 +77,7 @@ class TestMultiplyFlags:
 
     def test_golden_model_yields_empty_metrics(self):
         code, out = _cli(
-            "multiply", "300", "150", "197", "--model", "golden", "--metrics"
+            "multiply", "300", "150", "197", "--engine", "golden", "--metrics"
         )
         assert code == 0
         assert "(no metrics recorded)" in out
@@ -99,7 +102,7 @@ class TestExponentiateTraceEndToEnd:
         path = str(tmp_path / "t.json")
         code, out = _cli(
             "exponentiate", "100", "11", "197",
-            "--engine", "rtl", "--trace", path, "--metrics",
+            "--engine", "behavioral", "--trace", path, "--metrics",
         )
         assert code == 0
         cycles = int(re.search(r"(\d+) cycles", out).group(1))
@@ -115,7 +118,7 @@ class TestExponentiateTraceEndToEnd:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "exponentiate",
-                "100", "43", "197", "--engine", "rtl", "--trace", path,
+                "100", "43", "197", "--engine", "behavioral", "--trace", path,
             ],
             capture_output=True,
             text=True,

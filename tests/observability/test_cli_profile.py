@@ -44,7 +44,7 @@ class TestProfileCommand:
         assert "lane fill" in out
         assert "serving wall time:" in out
         assert "busy by worker:" in out
-        # 12 requests, 3 moduli of 10 bits x 2 exponents: the gate backend
+        # 12 requests, 3 moduli of 10 bits x 2 exponents: the rtl backend
         # batches by width, so each exponent's 6 requests share a sweep
         # across all 3 moduli -> fill 6
         assert "p50=6" in out

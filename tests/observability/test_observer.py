@@ -132,7 +132,7 @@ class TestSpans:
             MMMC(8, mode="paper").multiply(X, Y, N8)
         assert not [e for e in tr.events if e["name"].startswith("state:")]
 
-    @pytest.mark.parametrize("engine", ["rtl", "golden"])
+    @pytest.mark.parametrize("engine", ["behavioral", "golden"])
     def test_exponentiation_span_totals_agree_with_counters(self, engine):
         ctx = MontgomeryContext(N8)
         tr = SpanTracer()
@@ -153,7 +153,7 @@ class TestSpans:
         ctx = MontgomeryContext(N8)
         tr = SpanTracer()
         with observe(tracer=tr):
-            run = ModularExponentiator(ctx, engine="rtl").exponentiate(100, 0b1011)
+            run = ModularExponentiator(ctx, engine="behavioral").exponentiate(100, 0b1011)
         assert tr.span_cycles("mmm") == run.cycles
         assert len(tr.spans("mmm")) == run.num_multiplications
 
@@ -184,7 +184,7 @@ class TestDisabledModeEquivalence:
         ctx = MontgomeryContext(N8)
 
         def run():
-            return ModularExponentiator(ctx, engine="rtl").exponentiate(77, 0b10111)
+            return ModularExponentiator(ctx, engine="behavioral").exponentiate(77, 0b10111)
 
         baseline = run()
         with observe(metrics=MetricsRegistry(), tracer=SpanTracer(detail="state")):

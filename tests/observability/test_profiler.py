@@ -71,7 +71,7 @@ class TestAttributeCycles:
         ctx = precompute_montgomery_constants(random_odd_modulus(16, rng))
         reg = MetricsRegistry()
         with observe(metrics=reg):
-            ModularExponentiator(ctx, engine="rtl").exponentiate(
+            ModularExponentiator(ctx, engine="behavioral").exponentiate(
                 rng.randrange(ctx.modulus), 0b10110
             )
         phases = attribute_cycles(reg)

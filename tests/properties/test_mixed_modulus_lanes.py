@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.serving import ModExpRequest
-from repro.serving.backends import GateLevelBackend
+from repro.serving.backends import RTLBackend
 from repro.systolic.exponentiator import ModularExponentiator
 
-BACKEND = GateLevelBackend()
+BACKEND = RTLBackend()
 
 
 @st.composite
@@ -48,7 +48,7 @@ def test_mixed_modulus_sweep_matches_pow_and_scalar_cycles(requests):
     for request, ctx, result in zip(requests, contexts, results):
         assert result.value == pow(request.base, request.exponent, request.modulus)
         if request.modulus not in reference:
-            run = ModularExponentiator(ctx, engine="rtl").exponentiate(
+            run = ModularExponentiator(ctx, engine="behavioral").exponentiate(
                 request.base, request.exponent
             )
             reference[request.modulus] = run.cycles

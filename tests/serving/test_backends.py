@@ -29,7 +29,6 @@ class TestRegistry:
         assert reg.names() == [
             "chip",
             "crt-rsa",
-            "gate",
             "highradix",
             "integer",
             "rtl",

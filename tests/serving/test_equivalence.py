@@ -28,7 +28,6 @@ VECTORS = {
     "highradix": 6,
     "scalable": 4,
     "rtl": 3,
-    "gate": 2,
     "chip": 2,
 }
 
@@ -39,7 +38,6 @@ BITS = {
     "highradix": 80,
     "scalable": 56,
     "rtl": 12,
-    "gate": 7,
     "chip": 10,
 }
 

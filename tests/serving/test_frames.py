@@ -7,7 +7,7 @@ keys; the worker cuts it by batch key before it runs lanes, so every
 backend still sees one key per ``execute_many`` call.  Under test:
 
 * one frame per target (``serving.shard_batches{shard}``);
-* mixed-width (``rtl``, ``gate``) and mixed-modulus (``chip``) frames
+* mixed-width (``rtl``) and mixed-modulus (``chip``) frames
   answer like the inline plane, value and cycles per request;
 * duplicate client ids in one frame, a worker killed while holding a
   multi-key frame, and ``wait`` mode below the dispatch size all answer
@@ -112,7 +112,7 @@ class TestOneFramePerTarget:
 
 
 class TestMixedKeyFrames:
-    @pytest.mark.parametrize("backend", ["rtl", "gate"])
+    @pytest.mark.parametrize("backend", ["rtl"])
     def test_two_widths_in_one_frame_match_the_inline_plane(self, backend):
         rng = random.Random(f"frames-widths-{backend}")
         moduli = [random_odd_modulus(7, rng), random_odd_modulus(10, rng)]

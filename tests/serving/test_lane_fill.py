@@ -16,7 +16,7 @@ import pytest
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, observe
 from repro.serving import ModExpRequest, ModExpService
-from repro.serving.backends import GateLevelBackend
+from repro.serving.backends import RTLBackend
 from repro.utils.rng import random_odd_modulus
 
 
@@ -47,7 +47,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [19, 23], 8)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            results = GateLevelBackend().execute_many([ctx] * len(reqs), reqs)
+            results = RTLBackend().execute_many([ctx] * len(reqs), reqs)
         for req, res in zip(reqs, results):
             assert res.value == pow(req.base, req.exponent, n)
 
@@ -67,7 +67,7 @@ class TestBackendLaneFill:
         reqs = _mixed_requests(rng, [n], [5, 7, 11], 3)  # singleton groups
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            GateLevelBackend().execute_many([ctx] * len(reqs), reqs)
+            RTLBackend().execute_many([ctx] * len(reqs), reqs)
         assert "hdl.lane_fill" not in registry
         assert registry.counter("hdl.lanes_packed").total() == 0
 
@@ -79,7 +79,7 @@ class TestServiceGroupAccounting:
         reqs = _mixed_requests(rng, moduli, exponents, count)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=max_batch) as svc:
+            with ModExpService(backend="rtl", max_batch=max_batch) as svc:
                 results = svc.process(reqs)
         for req, res in zip(reqs, results):
             assert res.ok, res
@@ -87,7 +87,7 @@ class TestServiceGroupAccounting:
         return registry, moduli
 
     def test_mixed_moduli_and_exponents_grouping_arithmetic(self):
-        # 3 moduli x 2 exponents, 24 requests, all 10 bits wide: the gate
+        # 3 moduli x 2 exponents, 24 requests, all 10 bits wide: the rtl
         # backend batches by width, so coalescing makes 1 batch of 24
         # (still one precompute of 8 requests per modulus); lane packing
         # splits it into 2 exponent groups of 12, each spanning all 3
@@ -118,7 +118,7 @@ class TestServiceGroupAccounting:
         reqs += _mixed_requests(rng, [n], [257], 3)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=64) as svc:
+            with ModExpService(backend="rtl", max_batch=64) as svc:
                 results = svc.process(reqs)
         assert all(r.ok for r in results)
         groups = registry.histogram("serving.lane_group_size").aggregate()

@@ -18,7 +18,7 @@ from repro.montgomery.exponent import chain_kinds
 from repro.montgomery.params import precompute_montgomery_constants
 from repro.observability import MetricsRegistry, SpanTracer, observe
 from repro.serving import ModExpRequest, ModExpService
-from repro.serving.backends import GateLevelBackend, RTLBackend
+from repro.serving.backends import RTLBackend
 from repro.systolic.exponentiator import ModularExponentiator
 from repro.systolic.timing import exponentiation_cycles_measured
 from repro.utils.rng import random_odd_modulus
@@ -52,7 +52,7 @@ class TestBackendLanes:
         contiguous = _requests(rng, n, 3, exponent=19)
         contiguous += _requests(rng, n, 2, exponent=23)
         interleaved = [contiguous[i] for i in (0, 3, 1, 4, 2)]
-        backend = GateLevelBackend()
+        backend = RTLBackend()
         for reqs in (contiguous, interleaved):
             registry = MetricsRegistry()
             with observe(metrics=registry):
@@ -67,7 +67,7 @@ class TestBackendLanes:
         """A group sweeps on a lane word of exactly its size, rebound on the
         width's one netlist instance; every word shares one compiled kernel
         and no lane cycle is wasted."""
-        backend = GateLevelBackend()
+        backend = RTLBackend()
         rng = random.Random("lanes-width")
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
@@ -92,7 +92,7 @@ class TestBackendLanes:
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
         reqs = _requests(rng, n, 3)  # three distinct random exponents
-        backend = GateLevelBackend()
+        backend = RTLBackend()
         registry = MetricsRegistry()
         with observe(metrics=registry):
             results = backend.execute_many([ctx] * len(reqs), reqs)
@@ -107,7 +107,7 @@ class TestBackendLanes:
         n = random_odd_modulus(9, rng)
         ctx = precompute_montgomery_constants(n)
         reqs = _requests(rng, n, 4, exponent=21)
-        backend = GateLevelBackend()
+        backend = RTLBackend()
         grouped = backend.execute_many([ctx] * len(reqs), reqs)
         scalar = [_behavioral(ctx, r) for r in reqs]
         assert [g.value for g in grouped] == [s.result for s in scalar]
@@ -137,7 +137,7 @@ class TestBackendLanes:
 
 def _behavioral(ctx, request):
     """The reference run: the behavioral MMMC under the exponentiator."""
-    return ModularExponentiator(ctx, engine="rtl").exponentiate(
+    return ModularExponentiator(ctx, engine="behavioral").exponentiate(
         request.base, request.exponent
     )
 
@@ -251,10 +251,10 @@ class TestOneRoutineChecks:
             del gate.multiply_slots
 
 
-class _OneLaneGate(GateLevelBackend):
-    """The gate backend declaring no lane packing (``lanes=1``)."""
+class _OneLaneRTL(RTLBackend):
+    """The rtl backend declaring no lane packing (``lanes=1``)."""
 
-    capabilities = replace(GateLevelBackend.capabilities, lanes=1)
+    capabilities = replace(RTLBackend.capabilities, lanes=1)
 
 
 class TestServiceLaneDispatch:
@@ -264,7 +264,7 @@ class TestServiceLaneDispatch:
         reqs = _requests(rng, n, 16, exponent=257)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=16) as svc:
+            with ModExpService(backend="rtl", max_batch=16) as svc:
                 results = svc.process(reqs)
         for req, res in zip(reqs, results):
             assert res.ok, res
@@ -282,7 +282,7 @@ class TestServiceLaneDispatch:
         reqs = _requests(rng, n, 6, exponent=91)
         reqs += _requests(rng, n, 5)
         rng.shuffle(reqs)
-        with ModExpService(backend="gate", max_batch=8, workers=2) as svc:
+        with ModExpService(backend="rtl", max_batch=8, workers=2) as svc:
             results = svc.process(reqs)
         for req, res in zip(reqs, results):
             assert res.ok, res
@@ -307,7 +307,7 @@ class TestServiceLaneDispatch:
         reqs = _requests(rng, n, 4, exponent=9)
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            backend = _OneLaneGate()
+            backend = _OneLaneRTL()
             with ModExpService(backend=backend, max_batch=4) as svc:
                 results = svc.process(reqs)
         for req, res in zip(reqs, results):
@@ -366,7 +366,7 @@ class TestFullLaneWord:
         clear_kernel_cache()
         registry = MetricsRegistry()
         with observe(metrics=registry):
-            with ModExpService(backend="gate", max_batch=256) as svc:
+            with ModExpService(backend="rtl", max_batch=256) as svc:
                 results = svc.process(requests)
         for req, res in zip(requests, results):
             assert res.ok, res

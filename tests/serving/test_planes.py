@@ -18,10 +18,10 @@ from repro.observability import MetricsRegistry, observe
 from repro.robustness import ChaosConfig, RetryPolicy, VerifyPolicy
 from repro.rsa.primes import generate_prime
 from repro.serving import ModExpRequest, ModExpService
-from repro.serving.backends import GateLevelBackend
+from repro.serving.backends import RTLBackend
 from repro.utils.rng import random_odd_modulus
 
-LANES = GateLevelBackend.capabilities.lanes
+LANES = RTLBackend.capabilities.lanes
 STATUSES = ("accepted", "completed", "failed", "timeout", "rejected")
 
 
@@ -64,7 +64,7 @@ def _crt_workload(count=20, seed="planes-crt"):
     return out
 
 
-def _gate_workload():
+def _rtl_workload():
     rng = random.Random("planes-gate")
     n = random_odd_modulus(10, rng)
     return [
@@ -128,8 +128,8 @@ class TestPlaneEquivalence:
         assert sum(cycles for _, _, cycles, _ in outcome) == 709200
 
     def test_gate_with_full_lane_packing(self):
-        requests = _gate_workload()
-        inline, shard = _assert_planes_agree(requests, backend="gate", max_batch=LANES)
+        requests = _rtl_workload()
+        inline, shard = _assert_planes_agree(requests, backend="rtl", max_batch=LANES)
         assert [value for _, value, _, _ in inline[0]] == [r.expected() for r in requests]
         for _, _, registry in (inline, shard):
             sizes = registry.histogram("serving.lane_group_size").aggregate()

@@ -148,14 +148,14 @@ class TestBackpressure:
 
 class TestExecuteBatch:
     def test_rows_follow_request_order_across_lane_groups(self):
-        gate = default_registry().get("gate")
+        rtl = default_registry().get("rtl")
         n = 197
         requests = [
             ModExpRequest(2 + i, 17 if i % 2 else 19, n, request_id=f"g{i}")
             for i in range(6)
         ]
         ctx = precompute_montgomery_constants(n)
-        rows = execute_batch(gate, [ctx] * len(requests), requests)
+        rows = execute_batch(rtl, [ctx] * len(requests), requests)
         assert [row["id"] for row in rows] == [r.request_id for r in requests]
         assert [row["value"] for row in rows] == [r.expected() for r in requests]
 

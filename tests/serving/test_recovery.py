@@ -335,7 +335,7 @@ class TestChaosAcceptance:
         """Bit flips land in real netlist DFFs mid-multiplication; the
         verifier (range / residue) still catches every corruption."""
         svc = ModExpService(
-            backend="gate",
+            backend="rtl",
             workers=1,
             worker_kind="inline",
             chaos=ChaosConfig(seed=3, bitflip_rate=0.5),

@@ -24,7 +24,7 @@ from repro.systolic.timing import (
 class TestCorrectness:
     def test_rtl_small(self):
         ctx = MontgomeryContext(197)
-        exp = ModularExponentiator(ctx, engine="rtl")
+        exp = ModularExponentiator(ctx, engine="behavioral")
         run = exp.exponentiate(55, 123)
         assert run.result == pow(55, 123, 197)
 
@@ -39,7 +39,7 @@ class TestCorrectness:
 
     def test_rtl_and_golden_agree_in_cycles_and_value(self):
         ctx = MontgomeryContext(241)
-        r1 = ModularExponentiator(ctx, engine="rtl").exponentiate(99, 0b101101)
+        r1 = ModularExponentiator(ctx, engine="behavioral").exponentiate(99, 0b101101)
         r2 = ModularExponentiator(ctx, engine="golden").exponentiate(99, 0b101101)
         assert r1.result == r2.result
         assert r1.cycles == r2.cycles, "golden accounting must equal measured RTL"
@@ -47,7 +47,7 @@ class TestCorrectness:
     def test_paper_mode_engine(self):
         # Small modulus where the printed array is safe.
         ctx = MontgomeryContext(139)
-        exp = ModularExponentiator(ctx, engine="rtl", mode="paper")
+        exp = ModularExponentiator(ctx, engine="behavioral", mode="paper")
         run = exp.exponentiate(100, 19)
         assert run.result == pow(100, 19, 139)
 
@@ -85,7 +85,7 @@ class TestEveryIntermediateProduct:
         m = m_raw % n
         value, trace = montgomery_modexp(ctx, m, e)
         rtl = _RecordingMMMC(ctx.l)
-        run = ModularExponentiator(ctx, engine="rtl", multiplier=rtl).exponentiate(m, e)
+        run = ModularExponentiator(ctx, engine="behavioral", multiplier=rtl).exponentiate(m, e)
         assert [op.kind for op in trace.operations] == [k for k, _ in run.operations]
         assert [(op.x, op.y, op.result) for op in trace.operations] == rtl.products
         assert run.result == value == pow(m, e, n)
@@ -129,7 +129,7 @@ class TestCycleAccounting:
 class TestWindowedThroughEngine:
     def test_matches_binary_result(self):
         ctx = MontgomeryContext(197)
-        exp = ModularExponentiator(ctx, engine="rtl")
+        exp = ModularExponentiator(ctx, engine="behavioral")
         e = 0xBEEF
         assert (
             exp.exponentiate_windowed(55, e, window=3).result
@@ -160,7 +160,7 @@ class TestWindowedThroughEngine:
     def test_wrong_per_op_cost_trips_the_check(self, method):
         ctx = MontgomeryContext(197)
         skewed = _RecordingMMMC(ctx.l, extra_cycles=1)
-        exp = ModularExponentiator(ctx, engine="rtl", multiplier=skewed)
+        exp = ModularExponentiator(ctx, engine="behavioral", multiplier=skewed)
         with pytest.raises(AssertionError, match="cost model says"):
             exp.exponentiate_windowed(7, 0xBEEF, window=3, method=method)
 

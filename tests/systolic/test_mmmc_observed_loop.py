@@ -218,6 +218,6 @@ class TestBackendSweep:
         assert registry.counter("hdl.wasted_lane_cycles").total() == 0
         # The behavioral MMMC's cycle count does not depend on the base, so
         # one reference run pins every laned request's cycles.
-        ref = ModularExponentiator(ctx, engine="rtl").exponentiate(reqs[0].base, exponent)
+        ref = ModularExponentiator(ctx, engine="behavioral").exponentiate(reqs[0].base, exponent)
         assert ref.result == results[0].value
         assert {res.cycles for res in results} == {ref.cycles}
